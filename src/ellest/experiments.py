@@ -11,7 +11,7 @@ Two kinds of runs are supported:
 * ``run_pendulum_experiment``: a damped oscillator driven by piecewise
   constant inputs is observed through noisy positions; for each recovery
   target (single inputs w_t and trailing blocks w^(K)) the trace-capped
-  S-risk design is optimized by bisection and compared with the worst-case
+  S-risk design is optimized by one SDP and compared with the worst-case
   ball design.
 
 Output is plot-ready CSV (one record per row, "%.17g" floats, no wall-clock
@@ -79,7 +79,6 @@ class ScenarioConfig:
     trace_cap: float = 1.0            # pendulum only: Tr(S) budget
     refine_deltas: tuple = (0.1, 0.2)
     tol_gap: float = 1e-8
-    tol_tau: float = 1e-4             # pendulum bisection width
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -324,8 +323,7 @@ def run_pendulum_experiment(cfg: ScenarioConfig) -> list[ExperimentRecord]:
         try:
             B = pp.input_row(idx) if kind == "single" else pp.input_block(idx)
             S_opt, H_opt, tau = optimize_S_bisection(
-                pp.A, B, sigma, trace_cap=cfg.trace_cap, tol_tau=cfg.tol_tau,
-                tol_gap=cfg.tol_gap)
+                pp.A, B, sigma, trace_cap=cfg.trace_cap, tol_gap=cfg.tol_gap)
             ball_est = build_linear_estimate(
                 EstimationProblem(pp.A, B, sigma, ball), tol_gap=cfg.tol_gap)
             eigs = np.sort(np.linalg.eigvalsh(S_opt))[::-1]
@@ -356,7 +354,6 @@ def check_invariants(records: list, cfg: ScenarioConfig) -> list:
         if not rec.sandwich_ok():
             bad.append(f"row {i}: lower bound exceeds upper bound")
     if cfg.scenario == PENDULUM:
-        slack = 2.0 * cfg.tol_tau
         prev = None
         for rec in records:
             if rec.error is not None:
@@ -365,7 +362,8 @@ def check_invariants(records: list, cfg: ScenarioConfig) -> list:
             if ex["bayes_field"] > ex["ball_risk"] * (1 + 1e-7) + 1e-9:
                 bad.append(f"{ex['target']}: ball risk below the trace-capped field")
             if ex["kind"] == "block":
-                if prev is not None and ex["opt_b"] < prev - slack:
+                # solver-accuracy slack: each level is an SDP optimum
+                if prev is not None and ex["opt_b"] < prev - 1e-6 * max(1.0, abs(prev)):
                     bad.append(f"{ex['target']}: Opt[B] decreased along nested blocks")
                 prev = ex["opt_b"]
     return bad

@@ -68,13 +68,6 @@ def smat_batch(V: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def svec_index(i: int, j: int, n: int) -> int:
-    """Position of symmetric entry (i, j), i <= j, in the svec vector."""
-    if i > j:
-        i, j = j, i
-    return j * (j + 1) // 2 + i
-
-
 def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
@@ -82,17 +75,6 @@ def sym(M: np.ndarray) -> np.ndarray:
 def psd_tolerance(M: np.ndarray, scale: float = 1e-9) -> float:
     """Default PSD slack: relative in the trace, per the library convention."""
     return scale * (1.0 + abs(float(np.trace(M))))
-
-
-def assert_psd(M: np.ndarray, name: str = "matrix", tol: float | None = None) -> None:
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != M.shape[1] or not np.allclose(M, M.T, atol=1e-10 * (1 + np.abs(M).max(initial=0.0))):
-        raise ValueError(f"{name} must be symmetric")
-    if tol is None:
-        tol = psd_tolerance(M)
-    w = np.linalg.eigvalsh(sym(M))
-    if w.min(initial=0.0) < -tol:
-        raise ValueError(f"{name} is not positive semidefinite (min eig {w.min():.3e}, tol {tol:.3e})")
 
 
 def min_eig(M: np.ndarray) -> float:
@@ -136,7 +118,3 @@ def congruence_svec_map(V: np.ndarray) -> np.ndarray:
 
 def spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
-
-
-def frobenius_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M))

@@ -458,23 +458,3 @@ def simplified_factor(prob: EstimationProblem) -> tuple[float, float]:
                                  / (prob.sigma ** 2 * ell.kappa))
     return float(arg), float(math.sqrt(math.log(arg)))
 
-
-def two_point_diagnostic(prob: EstimationProblem, alpha: float = 0.25,
-                         seed: int = 0) -> float:
-    """Heuristic lower-risk diagnostic from two-point testing: the largest
-    ||Bx|| found with x in the signal set and ||Ax|| <= q_{1-alpha} sigma.
-
-    The inner maximization is NP-hard in general; the value reported is the
-    best rounded feasible point of its semidefinite relaxation, so this is a
-    labeled heuristic for eyeballing only, never a certified bound.
-    """
-    from .sdp_relaxation import relax_quadratic_max, round_rademacher
-
-    ell = prob.ell
-    cap = (gaussian_quantile(1.0 - alpha) * prob.sigma) ** 2
-    C = sym(prob.B.T @ prob.B)
-    extra = [(sym(prob.A.T @ prob.A), cap)]
-    opt, Q, t = relax_quadratic_max(C, ell, extra_trace_constraints=extra)
-    x, val, _ = round_rademacher(C, ell, Q, t, seed=seed,
-                                 extra_quadratic_caps=extra)
-    return float(math.sqrt(max(val, 0.0)))

@@ -10,9 +10,9 @@ the two values holds with s > 0 at the optimum whenever B is nonzero.
 The whole-space variant (signal set = all of R^n) drops the ellitope
 constraints entirely; there the linear estimate is exactly minimax among all
 estimates, which we certify by solving the dual. optimize_S_bisection treats
-S itself as a design variable under a trace budget and finds the smallest
-achievable S-risk level by bisection on tau (the program is linear in (H, S)
-once tau is frozen).
+S itself as a design variable under a trace budget. The product tau*S makes
+that program bilinear, but in T = tau*S it is jointly convex in (tau, T, H),
+so one SDP gives the smallest achievable S-risk level and S = T/tau.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .ellitope import Ellitope, add_tset_cone, phi_terms
 from .estimator import EstimationProblem, add_design_lmi, add_frobenius_epigraph
 from .linalg import congruence_svec_map, min_eig, psd_tolerance, smat, svec, svec_len, sym
 from .lower_bound import LowerBoundReport, delta_rho, gaussian_quantile, m_star
-from .solver import Builder, ConicSolution, SolverError, solve, solve_or_raise
+from .solver import Builder, ConicSolution, solve_or_raise
 
 SRISK_RHO_FAMILY = "srisk_rho_family"
 _DEFAULT_RHO_GRID = np.logspace(-3, 0, 40)
@@ -207,69 +207,43 @@ def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
                          math.sqrt(max(tau_val, 0.0)), sol)
 
 
-def _srisk_feasible_at(A: np.ndarray, B: np.ndarray, sigma: float, tau: float,
-                       trace_cap: float, *, tol_gap: float):
-    """Feasibility of the (H, S) program at frozen tau; minimizes Tr(S) among
-    feasible points, which drives S toward low rank. Returns (ok, H, S)."""
-    m, n = A.shape
-    nu = B.shape[0]
-    b = Builder()
-    s_idx = b.vars("S", svec_len(n))
-    h = b.vars("H", m * nu)
-    u = b.vars("u", 1)
-    sv_eye = svec(np.eye(n))
-    b.objective(s_idx, sv_eye)
-    L = b.lmi(n + nu)
-    add_design_lmi(L, A, B, np.zeros((0, n, n)), np.zeros(0, dtype=int), h)
-    L.term_symmetric_block(s_idx, offset=0, scale=tau)
-    Ls = b.lmi(n)
-    Ls.term_symmetric_block(s_idx)
-    add_frobenius_epigraph(b, h, u[0])
-    b.ineq(u, [sigma ** 2], tau)
-    b.ineq(s_idx, sv_eye, trace_cap)
-    prog = b.build()
-    sol = solve(prog, tol_gap=tol_gap)
-    if not sol.is_optimal:
-        return False, None, None
-    return True, sol.var(prog, "H").reshape(m, nu), smat(sol.var(prog, "S"), n)
-
-
 def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
-                         trace_cap: float = 1.0, tol_tau: float = 1e-4, *,
-                         max_iter: int = 60, tol_gap: float = 1e-8):
+                         trace_cap: float = 1.0, *, tol_gap: float = 1e-8):
     """Smallest achievable S-risk level when S itself is a design variable
-    under Tr(S) <= trace_cap: bisection on tau over the feasibility program
-    in (H, S), which is jointly convex once tau is frozen. Returns
-    (S_star, H_star, tau_star) at the final feasible tau."""
+    under Tr(S) <= trace_cap. With T = tau S the program
+
+        min tau  s.t.  [[T, B'-A'H],[B-H'A, I]] >= 0,  T >= 0,
+                       sigma^2 ||H||_F^2 <= tau,  Tr(T) <= trace_cap tau
+
+    is jointly convex in (tau, T, H), so one SDP gives the exact optimum.
+    Returns (S_star, H_star, tau_star) with S_star = T/tau_star."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if trace_cap <= 0:
         raise ValueError("trace_cap must be positive")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
     if not np.any(B):
         raise ValueError("B must be nonzero")
-    n = A.shape[1]
-    # H = 0, S = trace_cap I/n is feasible once tau S >= B'B on that ray
-    tau_hi = n * float(np.linalg.eigvalsh(sym(B.T @ B))[-1]) / trace_cap
-    tau_hi = max(tau_hi * (1.0 + 1e-6), 1e-8)
-    ok, H_best, S_best = _srisk_feasible_at(A, B, sigma, tau_hi, trace_cap,
-                                            tol_gap=tol_gap)
-    grow = 0
-    while not ok and grow < 8:
-        tau_hi *= 4.0
-        grow += 1
-        ok, H_best, S_best = _srisk_feasible_at(A, B, sigma, tau_hi, trace_cap,
-                                                tol_gap=tol_gap)
-    if not ok:
-        raise RuntimeError(f"no feasible tau bracket found up to {tau_hi}")
-    tau_lo = 0.0
-    for _ in range(max_iter):
-        if tau_hi - tau_lo <= tol_tau:
-            break
-        mid = 0.5 * (tau_lo + tau_hi)
-        ok, H_mid, S_mid = _srisk_feasible_at(A, B, sigma, mid, trace_cap,
-                                              tol_gap=tol_gap)
-        if ok:
-            tau_hi, H_best, S_best = mid, H_mid, S_mid
-        else:
-            tau_lo = mid
-    return S_best, H_best, tau_hi
+    m, n = A.shape
+    nu = B.shape[0]
+    b = Builder()
+    tau = b.vars("tau", 1)
+    t_idx = b.vars("T", svec_len(n))
+    h = b.vars("H", m * nu)
+    u = b.vars("u", 1)
+    b.objective(tau, [1.0])
+    L = b.lmi(n + nu)
+    add_design_lmi(L, A, B, np.zeros((0, n, n)), np.zeros(0, dtype=int), h)
+    L.term_symmetric_block(t_idx, offset=0)
+    Lt = b.lmi(n)
+    Lt.term_symmetric_block(t_idx)
+    add_frobenius_epigraph(b, h, u[0])
+    b.ineq(np.concatenate([u, tau]), [sigma ** 2, -1.0], 0.0)
+    b.ineq(np.concatenate([t_idx, tau]),
+           np.concatenate([svec(np.eye(n)), [-trace_cap]]), 0.0)
+    prog = b.build()
+    sol = solve_or_raise(prog, tol_gap=tol_gap)
+    tau_val = float(sol.var(prog, "tau")[0])
+    T = smat(sol.var(prog, "T"), n)
+    return T / tau_val, sol.var(prog, "H").reshape(m, nu), tau_val

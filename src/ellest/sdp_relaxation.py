@@ -53,13 +53,11 @@ def solve_and_round(C: np.ndarray, ell: Ellitope, *, seed: int = 0,
 
 
 def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *,
-                        extra_trace_constraints=None,
                         tol_gap: float = 1e-8, tol_dual: float = 1e-6):
     """Upper bound max Tr(CQ) over Q >= 0, Tr(QS_k) <= t_k, t in T.
 
-    Cross-checked against the dual min phi_T(lam) s.t. sum lam_k S_k >= C
-    (skipped when extra trace constraints are present, where that dual no
-    longer applies). Returns (opt, Q_star, t_star)."""
+    Cross-checked against the dual min phi_T(lam) s.t. sum lam_k S_k >= C.
+    Returns (opt, Q_star, t_star)."""
     C = np.asarray(C, dtype=float)
     if np.max(np.abs(C - C.T)) > 1e-12 * (1.0 + np.max(np.abs(C))):
         warnings.warn("C is not symmetric; using its symmetric part")
@@ -68,53 +66,38 @@ def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *,
     b = Builder()
     q = b.vars("Q", svec(np.eye(n)).shape[0])
     b.objective(q, -svec(C))
-    t_idx = _add_q_in_script_q(b, ell, q)
-    if extra_trace_constraints:
-        for M, cap in extra_trace_constraints:
-            sv = svec(sym(np.asarray(M, dtype=float)))
-            nz = np.nonzero(sv)[0]
-            b.ineq(q[nz], sv[nz], float(cap))
+    _add_q_in_script_q(b, ell, q)
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
     opt = -float(sol.objective)
     Q = smat(sol.var(prog, "Q"), n)
     t = sol.var(prog, "t").copy()
 
-    if not extra_trace_constraints:
-        bd = Builder()
-        lam = bd.vars("lam", ell.K)
-        bd.nonneg(lam)
-        add_support_epigraph(bd, ell.tset, lam)
-        L = bd.lmi(n)
-        L.const(-C)
-        for k in range(ell.K):
-            L.term(lam[k], ell.S[k])
-        dprog = bd.build()
-        dsol = solve_or_raise(dprog, tol_gap=tol_gap)
-        dval = float(dsol.objective)
-        if abs(dval - opt) > tol_dual * (1.0 + abs(opt)):
-            raise AssertionError(
-                f"relaxation duality gap: primal {opt} vs dual {dval}")
+    bd = Builder()
+    lam = bd.vars("lam", ell.K)
+    bd.nonneg(lam)
+    add_support_epigraph(bd, ell.tset, lam)
+    L = bd.lmi(n)
+    L.const(-C)
+    for k in range(ell.K):
+        L.term(lam[k], ell.S[k])
+    dprog = bd.build()
+    dsol = solve_or_raise(dprog, tol_gap=tol_gap)
+    dval = float(dsol.objective)
+    if abs(dval - opt) > tol_dual * (1.0 + abs(opt)):
+        raise AssertionError(
+            f"relaxation duality gap: primal {opt} vs dual {dval}")
     return opt, Q, t
 
 
-def _boundary_multiplier(ell: Ellitope, y: np.ndarray,
-                         extra_quadratic_caps=None) -> float:
-    """Largest c with sqrt(c)*y still admissible (gauge of the loads through
-    T, intersected with any extra quadratic caps)."""
-    g = ell.loads(y)
-    c = ell.tset.boundary_scale(g)
-    if extra_quadratic_caps:
-        for M, cap in extra_quadratic_caps:
-            load = float(y @ (sym(np.asarray(M, dtype=float)) @ y))
-            if load > 0:
-                c = min(c, float(cap) / load)
-    return c
+def _boundary_multiplier(ell: Ellitope, y: np.ndarray) -> float:
+    """Largest c with sqrt(c)*y still admissible (gauge of the loads
+    through T)."""
+    return ell.tset.boundary_scale(ell.loads(y))
 
 
 def round_rademacher(C: np.ndarray, ell: Ellitope, Q_star: np.ndarray,
-                     t_star: np.ndarray, seed: int = 0, budget: int = 200, *,
-                     extra_quadratic_caps=None):
+                     t_star: np.ndarray, seed: int = 0, budget: int = 200):
     """Draw Rademacher sign vectors until y = Q^(1/2) U xi / sqrt(s_*) lands
     inside the ellitope (loads <= t_star componentwise), then stretch the
     accepted point to the set boundary. Returns (x_hat, val_hat, trials_used).
@@ -134,30 +117,23 @@ def round_rademacher(C: np.ndarray, ell: Ellitope, Q_star: np.ndarray,
         xi = rng.integers(0, 2, size=ell.n) * 2.0 - 1.0
         y = R @ (U @ xi) / math.sqrt(s_star)
         loads = ell.loads(y)
-        mult = _boundary_multiplier(ell, y, extra_quadratic_caps)
+        mult = _boundary_multiplier(ell, y)
         if mult > best_mult:
             best_mult, best_y = mult, y
-        ok = np.all(loads <= t_star + 1e-12)
-        if ok and extra_quadratic_caps:
-            for M, cap in extra_quadratic_caps:
-                if float(y @ (sym(np.asarray(M, dtype=float)) @ y)) > cap + 1e-12:
-                    ok = False
-                    break
-        if ok:
+        if np.all(loads <= t_star + 1e-12):
             c = max(mult, 1.0)
-            x_hat = _polish_inside(ell, math.sqrt(c) * y, extra_quadratic_caps)
+            x_hat = _polish_inside(ell, math.sqrt(c) * y)
             return x_hat, float(x_hat @ (C @ x_hat)), trial + 1
     warnings.warn(f"rounding budget {budget} exhausted; returning the "
                   "least-violating candidate scaled to the boundary")
     c = max(min(best_mult, 1.0), 0.0) if np.isfinite(best_mult) else 0.0
-    x_hat = _polish_inside(ell, math.sqrt(c) * best_y, extra_quadratic_caps)
+    x_hat = _polish_inside(ell, math.sqrt(c) * best_y)
     return x_hat, float(x_hat @ (C @ x_hat)), budget
 
 
-def _polish_inside(ell: Ellitope, x: np.ndarray,
-                   extra_quadratic_caps=None) -> np.ndarray:
+def _polish_inside(ell: Ellitope, x: np.ndarray) -> np.ndarray:
     """Shave accumulated roundoff so the scaled point is strictly admissible."""
-    fix = _boundary_multiplier(ell, x, extra_quadratic_caps)
+    fix = _boundary_multiplier(ell, x)
     if np.isfinite(fix) and fix < 1.0:
         x = math.sqrt(fix * (1.0 - 1e-12)) * x
     return x

@@ -5,7 +5,6 @@ from .program import (
     ConicProgram,
     ConicSolution,
     SolverError,
-    lmi_min_eig,
     set_program_dump,
     solve,
     solve_or_raise,
@@ -19,7 +18,6 @@ __all__ = [
     "EngineResult",
     "SolverError",
     "conelp",
-    "lmi_min_eig",
     "set_program_dump",
     "solve",
     "solve_or_raise",

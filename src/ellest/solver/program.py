@@ -52,22 +52,6 @@ class ConicProgram:
     lmis: list[tuple[np.ndarray, np.ndarray, int]] = field(default_factory=list)  # (Fmat, f0, order)
     var_table: dict[str, tuple[int, int]] = field(default_factory=dict)
 
-    @classmethod
-    def from_lmi_mats(cls, num_vars, c, lmi_blocks, *, offset=0.0, sign_vars=(),
-                      G_ineq=None, h_ineq=None, E=None, f=None, socs=(), var_table=None):
-        """Build from LMI blocks given as (F0, {var_index: F_i}) with dense
-        symmetric coefficient matrices."""
-        lmis = []
-        for F0, terms in lmi_blocks:
-            order = F0.shape[0]
-            Fmat = np.zeros((svec_len(order), num_vars))
-            for i, Fi in terms.items():
-                Fmat[:, i] = svec(np.asarray(Fi, dtype=float))
-            lmis.append((Fmat, svec(np.asarray(F0, dtype=float)), order))
-        return cls(num_vars, np.asarray(c, dtype=float), offset,
-                   np.asarray(sign_vars, dtype=int),
-                   G_ineq, h_ineq, E, f, list(socs), lmis, var_table or {})
-
     def lower(self):
         """Assemble the engine-standard form (c, G, h, dims, A, b)."""
         d = self.num_vars
@@ -331,9 +315,6 @@ class _SocHandle:
         self._cols.extend(np.asarray(cols, dtype=int).tolist())
         self._vals.extend(np.asarray(vals, dtype=float).tolist())
 
-    def set_const(self, rows, consts) -> None:
-        np.add.at(self._const, np.asarray(rows, dtype=int), np.asarray(consts, dtype=float))
-
     def assemble(self, d: int):
         D = np.zeros((self.dim, d))
         np.add.at(D, (np.asarray(self._rows, dtype=int), np.asarray(self._cols, dtype=int)),
@@ -420,11 +401,3 @@ class _LMIHandle:
             np.add.at(Fmat, (rows, cols), vals)
         return Fmat, svec(self._F0), self.order
 
-
-def lmi_min_eig(prog: ConicProgram, x: np.ndarray) -> float:
-    """Smallest eigenvalue across all LMI blocks evaluated at x."""
-    worst = np.inf
-    for Fmat, f0, order in prog.lmis:
-        M = smat(f0 + Fmat @ x, order)
-        worst = min(worst, float(np.linalg.eigvalsh(M).min()))
-    return worst if worst != np.inf else 0.0

@@ -41,6 +41,14 @@ def random_problem(rng: np.random.Generator, n: int, m: int, nu: int,
     return EstimationProblem(A=A, B=B, sigma=s, ell=random_ellitope(rng, n, K))
 
 
+@pytest.fixture(autouse=True)
+def _run_in_tmp_path(tmp_path, monkeypatch):
+    """Run every test from its own temporary directory, so commands that
+    fall back to default output names (H.csv, S_opt.csv) cannot write into
+    the checkout."""
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture
 def rng():
     return stream(20260819)

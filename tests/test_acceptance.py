@@ -317,8 +317,7 @@ def test_criterion_11_pendulum():
         worst_ratio = max(worst_ratio, ratio)
         rank_ok &= ratio <= 1e-6
     taus = [r.extras["opt_b"] for r in blocks]
-    slack = 2.0 * cfg.tol_tau
-    mono_ok = all(taus[i] <= taus[i + 1] + slack for i in range(len(taus) - 1))
+    mono_ok = all(taus[i] <= taus[i + 1] + 2e-4 for i in range(len(taus) - 1))
 
     pp = build_pendulum_problem(T=32)
     x = stream(1011).normal(size=pp.n)

@@ -210,7 +210,8 @@ def test_minimal_descriptor_loads(inst):
     }))
     rpt = str(inst["dir"] / "min.json")
     rc = main(["estimate", inst["A"], inst["B"], str(minimal),
-               "--sigma", "0.5", "--report", rpt])
+               "--sigma", "0.5", "--out-h", str(inst["dir"] / "Hmin.csv"),
+               "--report", rpt])
     assert rc == 0
     assert read_report(rpt)["opt"] > 0
 

@@ -1,6 +1,6 @@
 """Relative risk with the (1 + x'Sx) normalization: design values,
 duality against the Bayesian dual, whole-space closed forms, and the
-bisection search over the normalizing matrix."""
+optimization over the normalizing matrix."""
 
 import math
 
@@ -19,6 +19,7 @@ from ellest import (
     srisk_lower_bound,
     whole_space_estimate,
 )
+from ellest.experiments import build_pendulum_problem
 from ellest.rng import stream
 
 ELL1 = Ellitope.ellipsoid(np.array([[1.0]]))
@@ -117,13 +118,34 @@ def test_duality_random_tsets():
         assert rep.details["opt_star"] > 0
 
 
-def test_bisection_scalar_oracle():
+def test_optimize_S_scalar_oracle():
     # over trace_cap = 1 the optimal normalization is S = 1 with tau = 1/4
-    S_star, H_star, tau_star = optimize_S_bisection(
-        A1, B1, 1.0, trace_cap=1.0, tol_tau=1e-5)
-    assert tau_star == pytest.approx(0.25, rel=1e-3)
-    assert float(S_star[0, 0]) == pytest.approx(1.0, rel=1e-2)
-    assert float(H_star[0, 0]) == pytest.approx(0.5, abs=1e-2)
+    S_star, H_star, tau_star = optimize_S_bisection(A1, B1, 1.0, trace_cap=1.0)
+    assert tau_star == pytest.approx(0.25, rel=1e-6)
+    assert float(S_star[0, 0]) == pytest.approx(1.0, rel=1e-6)
+    assert float(H_star[0, 0]) == pytest.approx(0.5, abs=1e-6)
+
+
+def _optimize_S_instance(name):
+    """(A, B, sigma, trace_cap) for a seeded random 4x5 instance or a
+    pendulum T=8 target."""
+    if name == "random_4x5":
+        rng = stream(77)
+        return rng.normal(size=(4, 5)), rng.normal(size=(2, 5)), 0.3, 2.0
+    pp = build_pendulum_problem(T=8, sigma=0.075)
+    B = pp.input_row(3) if name == "pendulum_w_3" else pp.input_block(4)
+    return pp.A, B, 0.075, 1.0
+
+
+@pytest.mark.parametrize("name", ["random_4x5", "pendulum_w_3", "pendulum_block_4"])
+def test_optimize_S_matches_whole_space_design(name):
+    # the returned S, re-solved as a fixed normalization (with its dual
+    # certificate), gives back the same level within the trace budget
+    A, B, sigma, cap = _optimize_S_instance(name)
+    S_star, _, tau_star = optimize_S_bisection(A, B, sigma, trace_cap=cap)
+    est = whole_space_estimate(A, B, sigma, S_star)
+    assert est.tau == pytest.approx(tau_star, rel=1e-6)
+    assert np.trace(S_star) <= cap * (1 + 1e-6)
 
 
 def test_srisk_validation():
@@ -132,3 +154,5 @@ def test_srisk_validation():
         SRiskProblem(prob, np.eye(2))            # S shape mismatch
     with pytest.raises(ValueError):
         SRiskProblem(prob, -np.eye(1))           # S not PSD
+    with pytest.raises(ValueError):
+        optimize_S_bisection(A1, B1, 0.0)        # sigma not positive
