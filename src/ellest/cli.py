@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -53,7 +54,15 @@ METHODS = (RHO_FAMILY, CONTRACTION, QUADRATIC_APPROX, PARALLELOTOPE)
 
 def _solver_tol() -> float:
     v = os.environ.get("ESTIMATOR_SOLVER_TOL")
-    return float(v) if v else 1e-8
+    if not v:
+        return 1e-8
+    try:
+        tol = float(v)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"ESTIMATOR_SOLVER_TOL must be a finite positive number, got {v!r}")
+    return tol
 
 
 def _floats(text: str) -> tuple:
@@ -213,9 +222,7 @@ def cmd_experiment(args) -> int:
         kw.update(horizon=args.horizon, trace_cap=args.trace_cap)
     if args.refine_deltas:
         kw["refine_deltas"] = _floats(args.refine_deltas)
-    tol = os.environ.get("ESTIMATOR_SOLVER_TOL")
-    if tol:
-        kw["tol_gap"] = float(tol)
+    kw["tol_gap"] = _solver_tol()
     cfg = ScenarioConfig(**kw)
     runner = run_pendulum_experiment if args.scenario == PENDULUM \
         else run_suboptimality_experiment

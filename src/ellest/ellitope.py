@@ -147,11 +147,11 @@ def support_function(tset: TSet, lam: np.ndarray) -> float:
 
 
 def add_tset_cone(b: Builder, tset: TSet, t_idx: np.ndarray,
-                  tau_idx: int | None = None, tau_const: float = 1.0) -> None:
+                  tau_idx: int | None = None) -> None:
     """Constrain [t; tau] to the closed cone {tau > 0, t/tau in T}.
 
-    With tau_idx None the scale is the constant tau_const, which gives plain
-    membership t in tau_const*T.
+    With tau_idx None the scale is the constant 1, which gives plain
+    membership t in T.
     """
     t_idx = np.asarray(t_idx, dtype=int)
     K = tset.K
@@ -161,19 +161,19 @@ def add_tset_cone(b: Builder, tset: TSet, t_idx: np.ndarray,
     if tset.variant in (SEGMENT, BOX):
         for k in range(K):
             if tau_idx is None:
-                b.ineq([t_idx[k]], [1.0], tau_const)
+                b.ineq([t_idx[k]], [1.0], 1.0)
             else:
                 b.ineq([t_idx[k], tau_idx], [1.0, -1.0], 0.0)
     elif tset.p == 2.0:
         if tau_idx is None:
-            b.ineq(t_idx, np.ones(K), tau_const)
+            b.ineq(t_idx, np.ones(K), 1.0)
         else:
             b.ineq(np.concatenate([t_idx, [tau_idx]]),
                    np.concatenate([np.ones(K), [-1.0]]), 0.0)
     elif tset.p == 4.0:
         soc = b.soc(K + 1)
         if tau_idx is None:
-            soc.set_row(0, [], [], tau_const)
+            soc.set_row(0, [], [], 1.0)
         else:
             soc.set_row(0, [tau_idx], [1.0])
         soc.set_triplets(np.arange(1, K + 1), t_idx, np.ones(K))
@@ -205,11 +205,10 @@ def phi_terms(b: Builder, tset: TSet, lam_idx: np.ndarray):
     return w, np.ones(1)
 
 
-def add_support_epigraph(b: Builder, tset: TSet, lam_idx: np.ndarray,
-                         weight: float = 1.0) -> None:
-    """Add weight * phi_T(lam) to the objective of b (lam >= 0 assumed)."""
+def add_support_epigraph(b: Builder, tset: TSet, lam_idx: np.ndarray) -> None:
+    """Add phi_T(lam) to the objective of b (lam >= 0 assumed)."""
     cols, vals = phi_terms(b, tset, lam_idx)
-    b.objective(cols, weight * vals)
+    b.objective(cols, vals)
 
 
 @dataclass(frozen=True)

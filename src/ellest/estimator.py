@@ -75,36 +75,41 @@ def add_frobenius_epigraph(b: Builder, h_idx: np.ndarray, u_col: int) -> None:
 def add_design_lmi(L, A: np.ndarray, B: np.ndarray, S: np.ndarray,
                    lam_idx: np.ndarray, h_idx: np.ndarray,
                    extra_00: list | None = None) -> None:
-    """Fill the design LMI block of order n + nu:
+    """Fill the leading (n + nu) block of the LMI L (of any order) with
 
         [ sum_k lam_k S_k (+ extra)   B' - A'H ]
-        [ (B - H'A)                    I_nu    ]  >= 0
+        [ (B - H'A)                    I_nu    ]
 
     with H entered row-major (h_idx[a*nu + b] = H[a, b]). extra_00 is a list
-    of (col, M) terms added to the upper-left block.
+    of (col, M) terms added to the upper-left block. Rows and columns past
+    n + nu are left to the caller.
     """
-    m, n = A.shape
+    n = A.shape[1]
     nu = B.shape[0]
-    F0 = np.zeros((n + nu, n + nu))
-    F0[:n, n:] = B.T
-    F0[n:, :n] = B
-    F0[n:, n:] = np.eye(nu)
+    F0 = np.zeros((L.order, L.order))
+    F0[:n, n:n + nu] = B.T
+    F0[n:n + nu, :n] = B
+    F0[n:n + nu, n:n + nu] = np.eye(nu)
     L.const(F0)
-    for k in range(S.shape[0]):
-        M = np.zeros((n + nu, n + nu))
-        M[:n, :n] = S[k]
-        L.term(lam_idx[k], M)
-    if extra_00:
-        for col, M in extra_00:
-            Mfull = np.zeros((n + nu, n + nu))
-            Mfull[:n, :n] = M
-            L.term(col, Mfull)
-    # -A'H in the off-diagonal block: entry (i, n+b) gets -A[a,i] * H[a,b]
-    aa, ii, bb = np.meshgrid(np.arange(m), np.arange(n), np.arange(nu), indexing="ij")
+    for col, M in [*zip(lam_idx, S), *(extra_00 or ())]:
+        full = np.zeros((L.order, L.order))
+        full[:n, :n] = M
+        L.term(col, full)
+    add_neg_product(L, A, h_idx, nu, 0, n)
+
+
+def add_neg_product(L, M: np.ndarray, h_idx: np.ndarray, nu: int,
+                    row0: int, col0: int) -> None:
+    """Enter -M'H into L at rows row0.. and columns col0..: symmetric entry
+    (row0 + i, col0 + b) gets -M[a, i] * H[a, b], with H (m x nu) entered
+    row-major as in add_design_lmi."""
+    m, r = M.shape
+    aa, ii, bb = np.meshgrid(np.arange(m), np.arange(r), np.arange(nu), indexing="ij")
     aa, ii, bb = aa.ravel(), ii.ravel(), bb.ravel()
-    vals = -A[aa, ii]
+    vals = -M[aa, ii]
     keep = vals != 0.0
-    L.term_entries(ii[keep], (n + bb)[keep], h_idx[aa[keep] * nu + bb[keep]], vals[keep])
+    L.term_entries((row0 + ii)[keep], (col0 + bb)[keep],
+                   h_idx[aa[keep] * nu + bb[keep]], vals[keep])
 
 
 def build_linear_estimate(prob: EstimationProblem, *, tol_gap: float = 1e-8,

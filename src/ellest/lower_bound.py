@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .ellitope import BOX, PBALL, SEGMENT, Ellitope, add_tset_cone
+from .ellitope import BOX, SEGMENT, Ellitope, add_tset_cone
 from .estimator import EstimationProblem, build_linear_estimate
 from .linalg import (
     congruence_svec_map,
@@ -166,29 +166,30 @@ def phi_gauss(Q: np.ndarray, A: np.ndarray, B: np.ndarray, sigma: float) -> floa
 
 
 def _add_q_in_script_q(b: Builder, ell: Ellitope, q_idx: np.ndarray,
-                       rho_scale: float = 1.0) -> np.ndarray:
-    """Constraints Q >= 0, Tr(Q S_k) <= rho_scale * t_k, t in T. Returns t indices."""
-    n, K = ell.n, ell.K
-    t = b.vars("t", K)
-    Lq = b.lmi(n)
-    Lq.term_symmetric_block(q_idx)
-    for k in range(K):
+                       rho_scale: float = 1.0, tau_idx: int | None = None,
+                       name: str = "t") -> None:
+    """Constraints Tr(Q S_k) <= rho_scale * t_k with [t; tau] in the cone of
+    T (tau = 1 when tau_idx is None), t a new variable group called name.
+    Q >= 0 is left to the caller."""
+    t = b.vars(name, ell.K)
+    for k in range(ell.K):
         sv = svec(ell.S[k])
         nz = np.nonzero(sv)[0]
         b.ineq(np.concatenate([q_idx[nz], [t[k]]]),
                np.concatenate([sv[nz], [-rho_scale]]), 0.0)
-    add_tset_cone(b, ell.tset, t)
-    return t
+    add_tset_cone(b, ell.tset, t, tau_idx=tau_idx)
 
 
 def _add_phi_objective(b: Builder, A: np.ndarray, B: np.ndarray, sigma: float,
-                       q_idx: np.ndarray) -> None:
-    """Episode of the Bayesian objective: adds slack G and the Schur block
+                       q_idx: np.ndarray):
+    """Epigraph of the Bayesian objective: adds slack G and the Schur block
 
         [ G      B Q A'              ]
         [ A Q B' sigma^2 I_m + A Q A']  >= 0
 
-    and sets the (minimization) objective Tr(G) - Tr(B Q B')."""
+    and sets the (minimization) objective Tr(G) - Tr(B Q B'). Returns the
+    block's handle, so a caller passing sigma = 0 can add its own noise
+    term."""
     m, n = A.shape
     nu = B.shape[0]
     g = b.vars("G", svec_len(nu))
@@ -204,6 +205,7 @@ def _add_phi_objective(b: Builder, A: np.ndarray, B: np.ndarray, sigma: float,
     V0 = np.vstack([B, np.zeros_like(A)])
     Mmap = congruence_svec_map(V) - congruence_svec_map(V0)
     L.map_svec(q_idx, Mmap)
+    return L
 
 
 def solve_bayesian_sdp(prob: EstimationProblem, *,
@@ -217,7 +219,8 @@ def solve_bayesian_sdp(prob: EstimationProblem, *,
     b = Builder()
     q = b.vars("Q", svec_len(n))
     _add_phi_objective(b, A, B, prob.sigma, q)
-    t_idx = _add_q_in_script_q(b, ell, q)
+    b.lmi(n).term_symmetric_block(q)
+    _add_q_in_script_q(b, ell, q)
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
     Q = smat(sol.var(prog, "Q"), n)
@@ -241,6 +244,7 @@ def m_star(B: np.ndarray, ell: Ellitope, *, tol_gap: float = 1e-8) -> float:
     b = Builder()
     q = b.vars("Q", svec_len(ell.n))
     b.objective(q, -svec(sym(B.T @ B)))
+    b.lmi(ell.n).term_symmetric_block(q)
     _add_q_in_script_q(b, ell, q)
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
@@ -252,11 +256,25 @@ def lower_bound_rho_family(prob: EstimationProblem, opt: float, mstar: float,
     """Best lower bound of the form
     Risk^2 >= rho*Opt - [1 + sqrt(2 rho) q_{1-delta_rho/2}]^2 M_*^2 delta_rho
     over a grid of rho values."""
+    best_val, best_rho, best_delta = _rho_scan(opt, mstar, K, 0.0, rho_grid)
+    lb = math.sqrt(max(best_val, 0.0))
+    factor = math.sqrt(max(opt, 0.0)) / lb if lb > 0 else math.inf
+    return LowerBoundReport(method=RHO_FAMILY, lb=lb, rho=best_rho,
+                            delta=best_delta, factor_numeric=factor)
+
+
+def _rho_scan(phi: float, mstar: float, K: int, tr_qs: float, rho_grid=None):
+    """max over rho in the grid (default DEFAULT_RHO_GRID) of
+
+        [rho phi - (1 + sqrt(2 rho) q_{1-delta_rho/2})^2 M_*^2 delta_rho]
+        / (1 + rho tr_qs / (1 - delta_rho)),
+
+    floored at 0. tr_qs = 0 gives the plain rho family, tr_qs = Tr(QS) the
+    S-risk one. Returns (value, rho, delta_rho), rho and delta None when no
+    grid point beats 0."""
     if rho_grid is None:
         rho_grid = DEFAULT_RHO_GRID
-    best_val = 0.0
-    best_rho = None
-    best_delta = None
+    best_val, best_rho, best_delta = 0.0, None, None
     for rho in np.asarray(rho_grid, dtype=float):
         d = delta_rho(float(rho), K)
         if d >= 1.0:
@@ -264,17 +282,13 @@ def lower_bound_rho_family(prob: EstimationProblem, opt: float, mstar: float,
         if d > 0.0:
             # quantile via the lower tail: q_{1-d/2} = -q_{d/2}, stable for tiny d
             bracket = 1.0 + math.sqrt(2.0 * rho) * (-gaussian_quantile(d / 2.0))
-            val = rho * opt - bracket ** 2 * mstar ** 2 * d
+            num = rho * phi - bracket ** 2 * mstar ** 2 * d
         else:
-            val = rho * opt
+            num = rho * phi
+        val = num / (1.0 + rho * tr_qs / (1.0 - d))
         if val > best_val:
-            best_val = val
-            best_rho = float(rho)
-            best_delta = d
-    lb = math.sqrt(max(best_val, 0.0))
-    factor = math.sqrt(max(opt, 0.0)) / lb if lb > 0 else math.inf
-    return LowerBoundReport(method=RHO_FAMILY, lb=lb, rho=best_rho,
-                            delta=best_delta, factor_numeric=factor)
+            best_val, best_rho, best_delta = val, float(rho), d
+    return best_val, best_rho, best_delta
 
 
 def _extract_rank1_dirs(ell: Ellitope) -> np.ndarray:
@@ -339,6 +353,7 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
     b = Builder()
     q = b.vars("Q", svec_len(n))
     _add_phi_objective(b, A, B, prob.sigma, q)
+    b.lmi(n).term_symmetric_block(q)
 
     rho = None
     if method == CONTRACTION:
@@ -347,8 +362,6 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
     elif method == QUADRATIC_APPROX:
         if K != 1 or ell.tset.variant != SEGMENT:
             raise ValueError("quadratic_approx needs a K = 1 ellipsoid")
-        Lq = b.lmi(n)
-        Lq.term_symmetric_block(q)
         wf = b.vars("w_fro", 1)
         ws = b.vars("w_spec", 1)
         mi, mj, qc, vv = _qs_product_triplets(ell.S[0])
@@ -367,8 +380,6 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
         if ell.tset.variant not in (SEGMENT, BOX):
             raise ValueError("parallelotope bound needs a box-family T")
         dirs = _extract_rank1_dirs(ell)
-        Lq = b.lmi(n)
-        Lq.term_symmetric_block(q)
         qq = gaussian_quantile(1.0 - delta / (2.0 * K))
         for k in range(K):
             sv = svec(np.outer(dirs[k], dirs[k]))

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellitope import Ellitope, phi_terms
-from .estimator import add_design_lmi, add_frobenius_epigraph
+from .ellitope import Ellitope
+from .estimator import add_design_lmi, add_neg_product
 from .linalg import sym
 from .rng import stream
+from .s_risk import _add_srisk_objective
 from .solver import Builder, solve_or_raise
 
 
@@ -85,70 +86,37 @@ def build_robust_estimate(um: UncertaintyModel, sigma: float, S: np.ndarray,
         [ 0                                    E_B - E_A H   mu I_p     ]  >= 0
 
     plus sigma^2 Tr(H'H) + phi_T(lam) <= tau. Returns (H, lam, mu, rob_opt).
-    With a vanishing uncertainty channel (E = 0 or F = 0) the nominal design
-    program is solved instead and mu = 0."""
+    With a vanishing uncertainty channel (E = 0 or F = 0) the border is empty
+    and there is no mu: this is the nominal S-risk design program, and mu = 0
+    is returned."""
     A, B = um.A_star, um.B_star
     m, n, nu = um.m, um.n, um.nu
-    p = um.E.shape[0]
+    p = um.E.shape[0] if np.any(um.E) and np.any(um.F) else 0
     S = sym(np.asarray(S, dtype=float))
-    trivial = not (np.any(um.E) and np.any(um.F))
     b = Builder()
-    tau = b.vars("tau", 1)
-    h = b.vars("H", m * nu)
-    lam = b.vars("lam", ell.K)
-    u = b.vars("u", 1)
-    b.nonneg(lam)
-    b.objective(tau, [1.0])
-    add_frobenius_epigraph(b, h, u[0])
-    cols, vals = phi_terms(b, ell.tset, lam)
-    b.ineq(np.concatenate([u, cols, tau]),
-           np.concatenate([[sigma ** 2], vals, [-1.0]]), 0.0)
-    if trivial:
-        L = b.lmi(n + nu)
-        add_design_lmi(L, A, B, ell.S, lam, h, extra_00=[(tau[0], S)])
-        prog = b.build()
-        sol = solve_or_raise(prog, tol_gap=tol_gap)
-        H = sol.var(prog, "H").reshape(m, nu)
-        return H, sol.var(prog, "lam").copy(), 0.0, float(sol.var(prog, "tau")[0])
-
-    mu = b.vars("mu", 1)
-    b.nonneg(mu)
+    tau, h, lam = _add_srisk_objective(b, sigma, m, nu, ell.tset)
+    extra_00 = [(tau[0], S)]
+    if p:
+        mu = b.vars("mu", 1)
+        b.nonneg(mu)
+        extra_00.append((mu[0], -um.r ** 2 * (um.F.T @ um.F)))
     L = b.lmi(n + nu + p)
-    F0 = np.zeros((n + nu + p, n + nu + p))
-    F0[:n, n:n + nu] = B.T
-    F0[n:n + nu, :n] = B
-    F0[n:n + nu, n:n + nu] = np.eye(nu)
-    F0[n + nu:, n:n + nu] = um.E_B
-    F0[n:n + nu, n + nu:] = um.E_B.T
-    L.const(F0)
-    for k in range(ell.K):
-        M = np.zeros((n + nu + p, n + nu + p))
-        M[:n, :n] = ell.S[k]
-        L.term(lam[k], M)
-    Mt = np.zeros((n + nu + p, n + nu + p))
-    Mt[:n, :n] = S
-    L.term(tau[0], Mt)
-    Mm = np.zeros((n + nu + p, n + nu + p))
-    Mm[:n, :n] = -um.r ** 2 * (um.F.T @ um.F)
-    Mm[n + nu:, n + nu:] = np.eye(p)
-    L.term(mu[0], Mm)
-    # -A*'H at (i, n+bcol) and -E_A H at (n+bcol, n+nu+c)
-    aa, ii, bb = np.meshgrid(np.arange(m), np.arange(n), np.arange(nu), indexing="ij")
-    aa, ii, bb = aa.ravel(), ii.ravel(), bb.ravel()
-    va = -A[aa, ii]
-    keep = va != 0.0
-    L.term_entries(ii[keep], (n + bb)[keep], h[aa[keep] * nu + bb[keep]], va[keep])
-    cc, aa2, bb2 = np.meshgrid(np.arange(p), np.arange(m), np.arange(nu), indexing="ij")
-    cc, aa2, bb2 = cc.ravel(), aa2.ravel(), bb2.ravel()
-    ve = -um.E_A[cc, aa2]
-    keep = ve != 0.0
-    L.term_entries((n + bb2)[keep], (n + nu + cc)[keep],
-                   h[aa2[keep] * nu + bb2[keep]], ve[keep])
+    add_design_lmi(L, A, B, ell.S, lam, h, extra_00=extra_00)
+    if p:
+        # border [E_B - E_A H, mu I_p] below the identity block
+        F0 = np.zeros((n + nu + p, n + nu + p))
+        F0[n + nu:, n:n + nu] = um.E_B
+        F0[n:n + nu, n + nu:] = um.E_B.T
+        L.const(F0)
+        Mm = np.zeros((n + nu + p, n + nu + p))
+        Mm[n + nu:, n + nu:] = np.eye(p)
+        L.term(mu[0], Mm)
+        add_neg_product(L, um.E_A.T, h, nu, n + nu, n)
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
     H = sol.var(prog, "H").reshape(m, nu)
-    return (H, sol.var(prog, "lam").copy(), float(sol.var(prog, "mu")[0]),
-            float(sol.var(prog, "tau")[0]))
+    mu_val = float(sol.var(prog, "mu")[0]) if p else 0.0
+    return H, sol.var(prog, "lam").copy(), mu_val, float(sol.var(prog, "tau")[0])
 
 
 def design_lmi_min_eig(H: np.ndarray, lam: np.ndarray, tau: float,
@@ -173,6 +141,8 @@ def verify_robust_feasibility(H: np.ndarray, lam: np.ndarray, tau: float,
     LMI stays positive semidefinite (eigenvalue >= -margin). Delta is a
     Gaussian matrix rescaled to spectral norm u*r with u uniform, except the
     first draw which sits on the boundary u = 1 where feasibility binds."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     S = sym(np.asarray(S, dtype=float))
     p, q = um.E.shape[0], um.F.shape[0]
     good = 0

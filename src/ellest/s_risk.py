@@ -22,14 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellitope import Ellitope, add_tset_cone, phi_terms
+from .ellitope import Ellitope, TSet, phi_terms
 from .estimator import EstimationProblem, add_design_lmi, add_frobenius_epigraph
-from .linalg import congruence_svec_map, min_eig, psd_tolerance, smat, svec, svec_len, sym
-from .lower_bound import LowerBoundReport, delta_rho, gaussian_quantile, m_star
+from .linalg import min_eig, psd_tolerance, smat, svec, svec_len, sym
+from .lower_bound import (
+    LowerBoundReport,
+    _add_phi_objective,
+    _add_q_in_script_q,
+    _rho_scan,
+    m_star,
+)
 from .solver import Builder, ConicSolution, solve_or_raise
 
 SRISK_RHO_FAMILY = "srisk_rho_family"
-_DEFAULT_RHO_GRID = np.logspace(-3, 0, 40)
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,27 @@ class SRiskEstimate:
     solution: ConicSolution | None = field(default=None, repr=False, compare=False)
 
 
+def _add_srisk_objective(b: Builder, sigma: float, m: int, nu: int,
+                         tset: TSet | None):
+    """Variables (tau, H, lam, u) with objective tau, the Frobenius
+    epigraph ||H||_F^2 <= u and sigma^2 u + phi_T(lam) <= tau, lam >= 0.
+    With tset None there is no lam (whole space). Returns the indices
+    (tau, H, lam); the caller adds the design LMI."""
+    tau = b.vars("tau", 1)
+    h = b.vars("H", m * nu)
+    lam = b.vars("lam", tset.K) if tset is not None else np.zeros(0, dtype=int)
+    u = b.vars("u", 1)
+    b.objective(tau, [1.0])
+    add_frobenius_epigraph(b, h, u[0])
+    cols, vals = lam, np.zeros(0)
+    if tset is not None:
+        b.nonneg(lam)
+        cols, vals = phi_terms(b, tset, lam)
+    b.ineq(np.concatenate([u, cols, tau]),
+           np.concatenate([[sigma ** 2], vals, [-1.0]]), 0.0)
+    return tau, h, lam
+
+
 def build_srisk_estimate(sp: SRiskProblem, *, tol_gap: float = 1e-8) -> SRiskEstimate:
     """min tau s.t. [[sum_k lam_k S_k + tau S, B'-A'H],[B-H'A, I]] >= 0 and
     sigma^2 Tr(H'H) + phi_T(lam) <= tau."""
@@ -65,18 +91,8 @@ def build_srisk_estimate(sp: SRiskProblem, *, tol_gap: float = 1e-8) -> SRiskEst
     A, B, ell = prob.A, prob.B, prob.ell
     m, n, nu = prob.m, ell.n, prob.nu
     b = Builder()
-    tau = b.vars("tau", 1)
-    h = b.vars("H", m * nu)
-    lam = b.vars("lam", ell.K)
-    u = b.vars("u", 1)
-    b.nonneg(lam)
-    b.objective(tau, [1.0])
-    L = b.lmi(n + nu)
-    add_design_lmi(L, A, B, ell.S, lam, h, extra_00=[(tau[0], sp.S)])
-    add_frobenius_epigraph(b, h, u[0])
-    cols, vals = phi_terms(b, ell.tset, lam)
-    b.ineq(np.concatenate([u, cols, tau]),
-           np.concatenate([[prob.sigma ** 2], vals, [-1.0]]), 0.0)
+    tau, h, lam = _add_srisk_objective(b, prob.sigma, m, nu, ell.tset)
+    add_design_lmi(b.lmi(n + nu), A, B, ell.S, lam, h, extra_00=[(tau[0], sp.S)])
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
     H = sol.var(prog, "H").reshape(m, nu)
@@ -94,32 +110,19 @@ def _dual_srisk_solve(A: np.ndarray, B: np.ndarray, sigma: float, S: np.ndarray,
     nu = B.shape[0]
     b = Builder()
     w = b.vars("W", svec_len(n))
-    g = b.vars("G", svec_len(nu))
+    # no constant noise block: here it is s sigma^2 I, added below
+    L = _add_phi_objective(b, A, B, 0.0, w)
     s = b.vars("s", 1)
     b.nonneg(s)
-    b.objective(g, svec(np.eye(nu)))
-    b.objective(w, -svec(sym(B.T @ B)))
-    L = b.lmi(nu + m)
-    L.term_symmetric_block(g, offset=0)
     Es = np.zeros((nu + m, nu + m))
     Es[nu:, nu:] = sigma ** 2 * np.eye(m)
     L.term(s[0], Es)
-    V = np.vstack([B, A])
-    V0 = np.vstack([B, np.zeros_like(A)])
-    L.map_svec(w, congruence_svec_map(V) - congruence_svec_map(V0))
-    Lw = b.lmi(n)
-    Lw.term_symmetric_block(w)
+    b.lmi(n).term_symmetric_block(w)
     sv_s = svec(S)
     nz = np.nonzero(sv_s)[0]
     b.ineq(np.concatenate([w[nz], s]), np.concatenate([sv_s[nz], [1.0]]), 1.0)
     if ell is not None:
-        v = b.vars("v", ell.K)
-        for k in range(ell.K):
-            sv = svec(ell.S[k])
-            nzk = np.nonzero(sv)[0]
-            b.ineq(np.concatenate([w[nzk], [v[k]]]),
-                   np.concatenate([sv[nzk], [-1.0]]), 0.0)
-        add_tset_cone(b, ell.tset, v, tau_idx=s[0])
+        _add_q_in_script_q(b, ell, w, tau_idx=s[0], name="v")
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
     W = smat(sol.var(prog, "W"), n)
@@ -144,24 +147,9 @@ def srisk_lower_bound(sp: SRiskProblem, *, tau: float | None = None,
         raise AssertionError(f"dual scale s = {s_val} violates positivity")
     phi_star = opt_star / s_val
     tr_qs = max(float(np.sum(W * sp.S)), 0.0) / s_val
-    K = prob.ell.K
     mstar = m_star(prob.B, prob.ell)
-    if rho_grid is None:
-        rho_grid = _DEFAULT_RHO_GRID
-    best_val, best_rho, best_delta = 0.0, None, None
-    for rho in np.asarray(rho_grid, dtype=float):
-        d = delta_rho(float(rho), K)
-        if d >= 1.0:
-            continue
-        if d > 0.0:
-            bracket = 1.0 + math.sqrt(2.0 * rho) * (-gaussian_quantile(d / 2.0))
-            num = rho * phi_star - bracket ** 2 * mstar ** 2 * d
-        else:
-            num = rho * phi_star
-        den = 1.0 + rho * tr_qs / (1.0 - d)
-        val = num / den
-        if val > best_val:
-            best_val, best_rho, best_delta = val, float(rho), d
+    best_val, best_rho, best_delta = _rho_scan(phi_star, mstar, prob.ell.K,
+                                               tr_qs, rho_grid)
     lb = math.sqrt(max(best_val, 0.0))
     bound = math.sqrt(max(tau, 0.0))
     factor = bound / lb if lb > 0 else math.inf
@@ -186,15 +174,9 @@ def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
     m, n = A.shape
     nu = B.shape[0]
     b = Builder()
-    tau = b.vars("tau", 1)
-    h = b.vars("H", m * nu)
-    u = b.vars("u", 1)
-    b.objective(tau, [1.0])
-    L = b.lmi(n + nu)
-    add_design_lmi(L, A, B, np.zeros((0, n, n)), np.zeros(0, dtype=int), h,
+    tau, h, lam = _add_srisk_objective(b, sigma, m, nu, None)
+    add_design_lmi(b.lmi(n + nu), A, B, np.zeros((0, n, n)), lam, h,
                    extra_00=[(tau[0], S)])
-    add_frobenius_epigraph(b, h, u[0])
-    b.ineq(np.concatenate([u, tau]), [sigma ** 2, -1.0], 0.0)
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
     tau_val = float(sol.var(prog, "tau")[0])

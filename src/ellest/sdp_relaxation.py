@@ -66,6 +66,7 @@ def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *,
     b = Builder()
     q = b.vars("Q", svec(np.eye(n)).shape[0])
     b.objective(q, -svec(C))
+    b.lmi(n).term_symmetric_block(q)
     _add_q_in_script_q(b, ell, q)
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
@@ -105,6 +106,8 @@ def round_rademacher(C: np.ndarray, ell: Ellitope, Q_star: np.ndarray,
     If the budget runs out (possible but exponentially unlikely), the least
     violating candidate is shrunk onto the boundary instead and a warning is
     issued; the opt/s_* guarantee does not apply to that fallback."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     C = sym(np.asarray(C, dtype=float))
     s_star = factor_bound(ell.K)
     R = psd_sqrt(Q_star)

@@ -20,7 +20,7 @@ Everything is dense; problem sizes in this package stay modest by design.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -45,12 +45,6 @@ class EngineResult:
     dres: float = np.nan
     iterations: int = 0
     message: str = ""
-    tau: float = np.nan
-    kappa: float = np.nan
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
 
 
 class _KKT:
@@ -126,7 +120,6 @@ def conelp(
     tol_gap: float = 1e-8,
     tol_feas: float = 1e-8,
     max_iter: int = 200,
-    verbose: bool = False,
 ) -> EngineResult:
     c = np.asarray(c, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -163,8 +156,6 @@ def conelp(
 
     best = None
     stall = 0
-    if verbose:
-        print(" it        pobj        dobj       gap     pres     dres")
 
     for it in range(max_iter + 1):
         # Residuals of the embedding.
@@ -184,17 +175,15 @@ def conelp(
             np.linalg.norm(G @ xs + ss - h) / norm_h,
         )
         dres = np.linalg.norm(A.T @ ys + G.T @ zs + c) / norm_c
-        if verbose:
-            print(f"{it:3d}  {pobj:10.3e}  {dobj:10.3e}  {gap:8.1e} {pres:8.1e} {dres:8.1e}")
 
         metric = max(pres, dres, relgap)
         if best is None or metric < best[0]:
             best = (metric, xs.copy(), ys.copy(), zs.copy(), ss.copy(),
-                    pobj, dobj, gap, relgap, pres, dres, tau, kappa)
+                    pobj, dobj, gap, relgap, pres, dres)
 
         if pres <= tol_feas and dres <= tol_feas and relgap <= tol_gap:
             return EngineResult("optimal", xs, ys, zs, ss, pobj, dobj, gap, relgap,
-                                pres, dres, it, "converged", tau, kappa)
+                                pres, dres, it, "converged")
 
         # Farkas certificate checks.
         by_hz = b @ y + h @ z
@@ -204,7 +193,7 @@ def conelp(
             if cert_res <= tol_feas * norm_c:
                 return EngineResult("primal_infeasible", None, t * y, t * z, None,
                                     np.nan, np.nan, np.nan, np.nan, cert_res, np.nan,
-                                    it, "primal infeasibility certificate found", tau, kappa)
+                                    it, "primal infeasibility certificate found")
         cx = c @ x
         if cx < 0:
             t = -1.0 / cx
@@ -213,21 +202,20 @@ def conelp(
             if res1 <= tol_feas * norm_b and res2 <= tol_feas * norm_h:
                 return EngineResult("dual_infeasible", t * x, None, None, t * s,
                                     np.nan, np.nan, np.nan, np.nan, max(res1, res2), np.nan,
-                                    it, "dual infeasibility certificate found", tau, kappa)
+                                    it, "dual infeasibility certificate found")
 
         def finish(msg: str) -> EngineResult:
             # Degenerate programs can stall short of full accuracy; accept the
             # best iterate when it clears a 100x-relaxed threshold.
             (metric_b, xs_b, ys_b, zs_b, ss_b, pobj_b, dobj_b, gap_b, relgap_b,
-             pres_b, dres_b, tau_b, kappa_b) = best
+             pres_b, dres_b) = best
             loose = (pres_b <= 100 * tol_feas and dres_b <= 100 * tol_feas
                      and relgap_b <= 100 * tol_gap)
             status = "optimal" if loose else "max_iter"
             if loose:
                 msg = f"converged at reduced accuracy ({msg})"
             return EngineResult(status, xs_b, ys_b, zs_b, ss_b, pobj_b, dobj_b,
-                                gap_b, relgap_b, pres_b, dres_b, it, msg,
-                                tau_b, kappa_b)
+                                gap_b, relgap_b, pres_b, dres_b, it, msg)
 
         if it == max_iter or stall >= 3:
             return finish("stalled" if stall >= 3 else "iteration limit reached")

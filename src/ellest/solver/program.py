@@ -10,8 +10,9 @@ with LMI blocks held in svec form (columns are svec(F_ji)) so assembly stays
 vectorized. Quadratic objective terms never appear here: callers model them
 with epigraph variables (SOC rows or Schur-complement LMIs).
 
-Solving lowers everything onto the cone engine in ipm.py and maps dual
-variables back per block.
+Solving lowers everything onto the cone engine in ipm.py; the solution
+keeps the primal point and, for an infeasible program, the engine's
+certificate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..linalg import smat, svec, svec_len
+from ..linalg import svec, svec_len
 from .cones import ConeDims
 from .ipm import EngineResult, conelp
 
@@ -41,8 +42,7 @@ class SolverError(RuntimeError):
 @dataclass
 class ConicProgram:
     num_vars: int
-    c: np.ndarray                                  # minimize c'x + offset
-    offset: float = 0.0
+    c: np.ndarray                                  # minimize c'x
     sign_vars: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     G_ineq: np.ndarray | None = None               # (m, d)
     h_ineq: np.ndarray | None = None
@@ -79,9 +79,7 @@ class ConicProgram:
         dims = ConeDims(l=m_in + n_sign, q=tuple(q), s=tuple(s))
         G = np.vstack(G_parts) if G_parts else np.zeros((0, d))
         h = np.concatenate(h_parts) if h_parts else np.zeros(0)
-        A = self.E if self.E is not None else None
-        b = self.f if self.f is not None else None
-        return self.c, G, h, dims, A, b, m_in, n_sign
+        return self.c, G, h, dims, self.E, self.f
 
     def to_json_dict(self) -> dict:
         """Loss-free dump (row-major matrices) for debugging."""
@@ -90,7 +88,6 @@ class ConicProgram:
         return {
             "num_vars": self.num_vars,
             "c": self.c.tolist(),
-            "offset": self.offset,
             "sign_vars": self.sign_vars.tolist(),
             "G_ineq": mat(self.G_ineq),
             "h_ineq": mat(self.h_ineq),
@@ -116,11 +113,6 @@ class ConicSolution:
     gap: float
     relgap: float
     residuals: dict[str, float]
-    y_eq: np.ndarray | None = None
-    z_ineq: np.ndarray | None = None
-    z_sign: np.ndarray | None = None
-    z_socs: list[np.ndarray] = field(default_factory=list)
-    Z_lmis: list[np.ndarray] = field(default_factory=list)
     iterations: int = 0
     message: str = ""
     certificate: dict | None = None
@@ -151,31 +143,13 @@ def solve(
     tol_gap: float = DEFAULT_TOL_GAP,
     tol_feas: float = DEFAULT_TOL_FEAS,
     max_iter: int = DEFAULT_MAX_ITER,
-    verbose: bool = False,
 ) -> ConicSolution:
     if _dump_state:
         _dump_state[1] += 1
         prog.dump_json(f"{_dump_state[0]}.{_dump_state[1]}.json")
-    c, G, h, dims, A, b, m_in, n_sign = prog.lower()
+    c, G, h, dims, A, b = prog.lower()
     res: EngineResult = conelp(c, G, h, dims, A, b, tol_gap=tol_gap,
-                               tol_feas=tol_feas, max_iter=max_iter, verbose=verbose)
-
-    z_ineq = z_sign = None
-    z_socs: list[np.ndarray] = []
-    Z_lmis: list[np.ndarray] = []
-    if res.z is not None:
-        off = 0
-        z_ineq = res.z[:m_in]
-        z_sign = res.z[m_in:m_in + n_sign]
-        off = m_in + n_sign
-        for D, e in prog.socs:
-            q = D.shape[0]
-            z_socs.append(res.z[off:off + q])
-            off += q
-        for Fmat, f0, order in prog.lmis:
-            ln = svec_len(order)
-            Z_lmis.append(smat(res.z[off:off + ln], order))
-            off += ln
+                               tol_feas=tol_feas, max_iter=max_iter)
 
     certificate = None
     if res.status == "primal_infeasible":
@@ -183,24 +157,18 @@ def solve(
     elif res.status == "dual_infeasible":
         certificate = {"kind": "dual_infeasible", "ray": res.x}
 
-    sol = ConicSolution(
+    return ConicSolution(
         status=res.status,
         x=res.x,
-        objective=(res.pobj + prog.offset) if res.x is not None else np.nan,
-        dual_objective=(res.dobj + prog.offset) if np.isfinite(res.dobj) else np.nan,
+        objective=res.pobj if res.x is not None else np.nan,
+        dual_objective=res.dobj if np.isfinite(res.dobj) else np.nan,
         gap=res.gap,
         relgap=res.relgap,
         residuals={"primal": res.pres, "dual": res.dres, "compl": res.gap},
-        y_eq=res.y if res.status != "primal_infeasible" else res.y,
-        z_ineq=z_ineq,
-        z_sign=z_sign,
-        z_socs=z_socs,
-        Z_lmis=Z_lmis,
         iterations=res.iterations,
         message=res.message,
         certificate=certificate,
     )
-    return sol
 
 
 def solve_or_raise(prog: ConicProgram, **kw) -> ConicSolution:
@@ -222,7 +190,6 @@ class Builder:
         self._d = 0
         self._table: dict[str, tuple[int, int]] = {}
         self._obj: list[tuple[np.ndarray, np.ndarray]] = []
-        self._offset = 0.0
         self._sign: list[np.ndarray] = []
         self._ineq: list[tuple[np.ndarray, np.ndarray, float]] = []
         self._eq: list[tuple[np.ndarray, np.ndarray, float]] = []
@@ -240,9 +207,6 @@ class Builder:
     def objective(self, cols, vals) -> None:
         self._obj.append((np.atleast_1d(np.asarray(cols, dtype=int)),
                           np.atleast_1d(np.asarray(vals, dtype=float))))
-
-    def offset(self, v: float) -> None:
-        self._offset += float(v)
 
     def nonneg(self, cols) -> None:
         self._sign.append(np.atleast_1d(np.asarray(cols, dtype=int)))
@@ -290,7 +254,7 @@ class Builder:
             E, fv = None, None
         socs = [hnd.assemble(d) for hnd in self._socs]
         lmis = [hnd.assemble(d) for hnd in self._lmis]
-        return ConicProgram(d, c, self._offset, sign_vars, G, hv, E, fv,
+        return ConicProgram(d, c, sign_vars, G, hv, E, fv,
                             socs, lmis, dict(self._table))
 
 

@@ -224,3 +224,37 @@ def test_solver_tol_env(inst, monkeypatch):
                "--report", rpt])
     assert rc == 0
     assert read_report(rpt)["opt"] > 0
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "0", "inf", "abc"])
+def test_solver_tol_env_rejects_bad_values(inst, monkeypatch, capsys, value):
+    monkeypatch.setenv("ESTIMATOR_SOLVER_TOL", value)
+    rc = main(["estimate", inst["A"], inst["B"], inst["ell"],
+               "--sigma", "0.5", "--out-h", str(inst["dir"] / "Ht.csv")])
+    assert rc == 2
+    assert "ESTIMATOR_SOLVER_TOL" in capsys.readouterr().err
+    rc = main(["experiment", "ellipsoid", "--n", "4", "--sigma-grid", "0.1",
+               "--out", str(inst["dir"] / "res")])
+    assert rc == 2
+    assert "ESTIMATOR_SOLVER_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_sdprelax_budget_below_one_exits_2(inst, capsys, budget):
+    pc = str(inst["dir"] / "C.csv")
+    io.write_matrix(pc, np.eye(3))
+    rc = main(["sdprelax", pc, inst["ell"], "--budget", budget])
+    assert rc == 2
+    assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_robust_samples_below_one_exits_2(inst, capsys, samples):
+    pe, pf = str(inst["dir"] / "E.csv"), str(inst["dir"] / "F.csv")
+    io.write_matrix(pe, 0.2 * np.ones((2, 5)))
+    io.write_matrix(pf, 0.2 * np.ones((2, 3)))
+    rc = main(["robust", inst["A"], inst["B"], inst["ell"], pe, pf,
+               "--sigma", "0.5", "--radius", "0.3", "--samples", samples,
+               "--out-h", str(inst["dir"] / "Hr.csv")])
+    assert rc == 2
+    assert "N must be at least 1" in capsys.readouterr().err
