@@ -4,7 +4,8 @@ Matrices are dense CSV (one row per line, "%.17g"), signal sets travel as a
 JSON descriptor; every subcommand prints a JSON report to stdout (or --report
 PATH). ESTIMATOR_SOLVER_TOL overrides the interior-point duality-gap target,
 and --dump-program PREFIX writes every conic program solved along the way to
-PREFIX.<k>.json for external cross-checking.
+PREFIX.<k>.json, in the (c, G, h, dims, A, b) form the solver receives, for
+external cross-checking.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def cmd_estimate(args) -> int:
         "opt": est.opt,
         "risk_bound": est.risk_bound,
         "lambda": est.lam.tolist(),
-        "residuals": {k: float(v) for k, v in est.solution.residuals.items()},
+        "residuals": {"primal": est.solution.pres, "dual": est.solution.dres,
+                      "compl": est.solution.gap},
         "H_path": args.out_h,
     }, args.report)
     return 0
@@ -172,6 +174,8 @@ def cmd_srisk(args) -> int:
 
 
 def cmd_robust(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples: N must be at least 1, got {args.samples}")
     A, B = io.read_matrix(args.A), io.read_matrix(args.B)
     ell = io.read_ellitope(args.ellitope)
     E, F = io.read_matrix(args.E), io.read_matrix(args.F)
@@ -194,6 +198,8 @@ def cmd_robust(args) -> int:
 
 
 def cmd_sdprelax(args) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     C = io.read_matrix(args.C)
     ell = io.read_ellitope(args.ellitope)
     res = solve_and_round(C, ell, seed=args.seed, budget=args.budget,
@@ -328,7 +334,8 @@ def main(argv=None) -> int:
     set_program_dump(args.dump_program)
     try:
         return args.fn(args)
-    except (SolverError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SolverError, ValueError, NotImplementedError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -38,8 +38,8 @@ class EstimationProblem:
         n = self.ell.n
         if A.shape[1] != n or B.shape[1] != n:
             raise ValueError("A and B must have n columns")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be a finite positive number, got {self.sigma}")
         if not np.any(B):
             raise ValueError("B must be nonzero")
 
@@ -133,7 +133,7 @@ def build_linear_estimate(prob: EstimationProblem, *, tol_gap: float = 1e-8,
     sol = solve_or_raise(prog, tol_gap=tol_gap, tol_feas=tol_feas)
     H = sol.var(prog, "H").reshape(m, nu)
     lam_v = np.maximum(sol.var(prog, "lam"), 0.0)
-    opt = float(sol.objective)
+    opt = float(sol.pobj)
     return LinearEstimate(H, lam_v, opt, float(np.sqrt(max(opt, 0.0))), sol)
 
 

@@ -87,8 +87,10 @@ class ScenarioConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
         object.__setattr__(self, "refine_deltas", tuple(float(d) for d in self.refine_deltas))
-        if not self.sigma_grid or any(s <= 0 for s in self.sigma_grid):
-            raise ValueError("sigma grid must be nonempty and positive")
+        if not self.sigma_grid or not all(0 < s < np.inf for s in self.sigma_grid):
+            raise ValueError("sigma_grid must be nonempty, finite and positive")
+        if not 0 < self.trace_cap < np.inf:
+            raise ValueError(f"trace_cap must be a finite positive number, got {self.trace_cap}")
         if self.scenario != PENDULUM:
             if not self.n_grid or any(n < 2 for n in self.n_grid):
                 raise ValueError("n grid must be nonempty with n >= 2")

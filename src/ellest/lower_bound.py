@@ -226,7 +226,7 @@ def solve_bayesian_sdp(prob: EstimationProblem, *,
     Q = smat(sol.var(prog, "Q"), n)
     G = smat(sol.var(prog, "G"), prob.nu)
     t = sol.var(prog, "t").copy()
-    opt_star = -float(sol.objective)
+    opt_star = -float(sol.pobj)
     if check_against_opt is not None:
         gap = abs(opt_star - check_against_opt)
         if gap > tol_dual * (1.0 + abs(check_against_opt)):
@@ -248,7 +248,7 @@ def m_star(B: np.ndarray, ell: Ellitope, *, tol_gap: float = 1e-8) -> float:
     _add_q_in_script_q(b, ell, q)
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
-    return float(np.sqrt(max(-sol.objective, 0.0)))
+    return float(np.sqrt(max(-sol.pobj, 0.0)))
 
 
 def lower_bound_rho_family(prob: EstimationProblem, opt: float, mstar: float,
@@ -390,13 +390,12 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
 
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
-    opt_delta = -float(sol.objective)
-    Q = smat(sol.var(prog, "Q"), n)
-    Q = psd_sqrt(Q) @ psd_sqrt(Q)            # PSD projection for the tail work
+    opt_delta = -float(sol.pobj)
+    R = psd_sqrt(smat(sol.var(prog, "Q"), n))
+    Q = R @ R                                # PSD projection for the tail work
 
     # refined outside-probability at the optimizer
     if method == PARALLELOTOPE:
-        dirs = _extract_rank1_dirs(ell)
         sigmas = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", dirs, Q, dirs), 0.0))
         tails = np.where(sigmas > 0, 2.0 * (1.0 - ndtr(1.0 / np.maximum(sigmas, 1e-300))), 0.0)
         delta_ref = float(min(delta, np.sum(tails)))
@@ -405,10 +404,10 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
     else:
         t_opt = np.maximum(sol.var(prog, "t"), 0.0)
         total = 0.0
+        R = psd_sqrt(Q)
         for k in range(K):
             tk = max(float(t_opt[k]), 1e-12)
             Sk = ell.S[k] / tk
-            R = psd_sqrt(Q)
             ratio = float(np.sum(np.clip(np.linalg.eigvalsh(sym(R @ Sk @ R)), 0, None)))
             total += chi2_tail_bound(Q, Sk) if ratio <= 1.0 + 1e-9 else 1.0
         delta_ref = min(delta, total)

@@ -127,7 +127,7 @@ def _dual_srisk_solve(A: np.ndarray, B: np.ndarray, sigma: float, S: np.ndarray,
     sol = solve_or_raise(prog, tol_gap=tol_gap)
     W = smat(sol.var(prog, "W"), n)
     s_val = float(sol.var(prog, "s")[0])
-    return -float(sol.objective), W, s_val, sol
+    return -float(sol.pobj), W, s_val, sol
 
 
 def srisk_lower_bound(sp: SRiskProblem, *, tau: float | None = None,
@@ -170,6 +170,8 @@ def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if not np.any(B):
         raise ValueError("B must be nonzero")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be a finite positive number, got {sigma}")
     S = sym(np.asarray(S, dtype=float))
     m, n = A.shape
     nu = B.shape[0]
@@ -201,10 +203,10 @@ def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
     Returns (S_star, H_star, tau_star) with S_star = T/tau_star."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    if trace_cap <= 0:
-        raise ValueError("trace_cap must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < trace_cap < math.inf:
+        raise ValueError(f"trace_cap must be a finite positive number, got {trace_cap}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be a finite positive number, got {sigma}")
     if not np.any(B):
         raise ValueError("B must be nonzero")
     m, n = A.shape

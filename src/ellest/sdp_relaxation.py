@@ -70,7 +70,7 @@ def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *,
     _add_q_in_script_q(b, ell, q)
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
-    opt = -float(sol.objective)
+    opt = -float(sol.pobj)
     Q = smat(sol.var(prog, "Q"), n)
     t = sol.var(prog, "t").copy()
 
@@ -84,7 +84,7 @@ def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *,
         L.term(lam[k], ell.S[k])
     dprog = bd.build()
     dsol = solve_or_raise(dprog, tol_gap=tol_gap)
-    dval = float(dsol.objective)
+    dval = float(dsol.pobj)
     if abs(dval - opt) > tol_dual * (1.0 + abs(opt)):
         raise AssertionError(
             f"relaxation duality gap: primal {opt} vs dual {dval}")

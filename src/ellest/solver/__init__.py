@@ -1,5 +1,5 @@
 from .cones import ConeDims
-from .ipm import EngineResult, conelp
+from .ipm import conelp
 from .program import (
     Builder,
     ConicProgram,
@@ -15,7 +15,6 @@ __all__ = [
     "ConeDims",
     "ConicProgram",
     "ConicSolution",
-    "EngineResult",
     "SolverError",
     "conelp",
     "set_program_dump",

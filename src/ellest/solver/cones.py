@@ -179,8 +179,6 @@ class Scaling:
     def compute(cls, dims: ConeDims, s: np.ndarray, z: np.ndarray) -> "Scaling":
         sc = cls(dims)
         lam = np.empty(dims.cone_len)
-        iq = 0
-        ips = 0
         for kind, off, ln, n in dims.blocks():
             sb, zb = s[off:off + ln], z[off:off + ln]
             if kind == "l":
@@ -200,7 +198,6 @@ class Scaling:
                 soc = _SocScaling(float(np.sqrt(res / rez)), wbar)
                 sc.socs.append(soc)
                 lam[off:off + ln] = np.sqrt(res * rez) * soc.apply_wbar(zb / rez)
-                iq += 1
             else:
                 S, Z = smat(sb, n), smat(zb, n)
                 Ls, Lz = safe_cholesky(S), safe_cholesky(Z)
@@ -211,7 +208,6 @@ class Scaling:
                 sc.Rs.append(R)
                 sc.Rinvs.append(Rinv)
                 lam[off:off + ln] = svec(np.diag(sig))
-                ips += 1
         sc.lam = lam
         return sc
 
@@ -264,7 +260,6 @@ class Scaling:
         """Solve lambda o x = u. lambda is diagonal in the scaled frame."""
         dims = self.dims
         out = np.empty(dims.cone_len)
-        iq = ips = 0
         for kind, off, ln, n in dims.blocks():
             ub = u[off:off + ln]
             lb = self.lam[off:off + ln]
@@ -279,13 +274,11 @@ class Scaling:
                 x0 = (lb[0] * ub[0] - lb[1:] @ ub[1:]) / det
                 out[off] = x0
                 out[off + 1:off + ln] = (ub[1:] - x0 * lb[1:]) / lb[0]
-                iq += 1
             else:
                 sig = np.diag(smat(lb, n)).copy()
                 U = smat(ub, n)
                 denom = 0.5 * (sig[:, None] + sig[None, :])
                 out[off:off + ln] = svec(U / denom)
-                ips += 1
         return out
 
     def scale_G(self, G: np.ndarray) -> np.ndarray:

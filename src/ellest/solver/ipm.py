@@ -7,8 +7,10 @@ Solves the pair
               Ax = b
 
 over K = R_+^l x SOC(q_i) x PSD(s_j), via the homogeneous self-dual embedding
-with Nesterov-Todd scaling and a Mehrotra predictor-corrector. Infeasible
-problems terminate with a Farkas-type certificate instead of a solution:
+with Nesterov-Todd scaling and a Mehrotra predictor-corrector. This is the
+(c, G, h, dims, A, b) cone-LP form of CVXOPT's conelp; program.py lowers
+every ConicProgram onto it. Infeasible problems terminate with a Farkas-type
+certificate in the ConicSolution's x/y/z instead of a solution:
 
   * primal infeasible: (y, z) with z in K*, A'y + G'z = 0, b'y + h'z = -1;
   * dual infeasible (primal unbounded direction): x with Ax = 0,
@@ -20,7 +22,7 @@ Everything is dense; problem sizes in this package stay modest by design.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +33,7 @@ STEP_FRACTION = 0.99
 
 
 @dataclass
-class EngineResult:
+class ConicSolution:
     status: str                      # optimal | primal_infeasible | dual_infeasible | max_iter
     x: np.ndarray | None
     y: np.ndarray | None
@@ -45,6 +47,15 @@ class EngineResult:
     dres: float = np.nan
     iterations: int = 0
     message: str = ""
+
+    @property
+    def is_optimal(self) -> bool:
+        return self.status == "optimal"
+
+    def var(self, prog, name: str) -> np.ndarray:
+        """The slice of x that prog's variable group name occupies."""
+        lo, hi = prog.var_table[name]
+        return self.x[lo:hi]
 
 
 class _KKT:
@@ -120,7 +131,7 @@ def conelp(
     tol_gap: float = 1e-8,
     tol_feas: float = 1e-8,
     max_iter: int = 200,
-) -> EngineResult:
+) -> ConicSolution:
     c = np.asarray(c, dtype=float)
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -176,14 +187,13 @@ def conelp(
         )
         dres = np.linalg.norm(A.T @ ys + G.T @ zs + c) / norm_c
 
-        metric = max(pres, dres, relgap)
-        if best is None or metric < best[0]:
-            best = (metric, xs.copy(), ys.copy(), zs.copy(), ss.copy(),
-                    pobj, dobj, gap, relgap, pres, dres)
+        if best is None or max(pres, dres, relgap) < max(best.pres, best.dres, best.relgap):
+            best = ConicSolution("max_iter", xs.copy(), ys.copy(), zs.copy(), ss.copy(),
+                                 pobj, dobj, gap, relgap, pres, dres)
 
         if pres <= tol_feas and dres <= tol_feas and relgap <= tol_gap:
-            return EngineResult("optimal", xs, ys, zs, ss, pobj, dobj, gap, relgap,
-                                pres, dres, it, "converged")
+            return ConicSolution("optimal", xs, ys, zs, ss, pobj, dobj, gap, relgap,
+                                 pres, dres, it, "converged")
 
         # Farkas certificate checks.
         by_hz = b @ y + h @ z
@@ -191,31 +201,27 @@ def conelp(
             t = -1.0 / by_hz
             cert_res = np.linalg.norm(A.T @ (t * y) + G.T @ (t * z))
             if cert_res <= tol_feas * norm_c:
-                return EngineResult("primal_infeasible", None, t * y, t * z, None,
-                                    np.nan, np.nan, np.nan, np.nan, cert_res, np.nan,
-                                    it, "primal infeasibility certificate found")
+                return ConicSolution("primal_infeasible", None, t * y, t * z, None,
+                                     pres=cert_res, iterations=it,
+                                     message="primal infeasibility certificate found")
         cx = c @ x
         if cx < 0:
             t = -1.0 / cx
             res1 = np.linalg.norm(A @ (t * x))
             res2 = np.linalg.norm(G @ (t * x) + t * s)
             if res1 <= tol_feas * norm_b and res2 <= tol_feas * norm_h:
-                return EngineResult("dual_infeasible", t * x, None, None, t * s,
-                                    np.nan, np.nan, np.nan, np.nan, max(res1, res2), np.nan,
-                                    it, "dual infeasibility certificate found")
+                return ConicSolution("dual_infeasible", t * x, None, None, t * s,
+                                     pres=max(res1, res2), iterations=it,
+                                     message="dual infeasibility certificate found")
 
-        def finish(msg: str) -> EngineResult:
+        def finish(msg: str) -> ConicSolution:
             # Degenerate programs can stall short of full accuracy; accept the
             # best iterate when it clears a 100x-relaxed threshold.
-            (metric_b, xs_b, ys_b, zs_b, ss_b, pobj_b, dobj_b, gap_b, relgap_b,
-             pres_b, dres_b) = best
-            loose = (pres_b <= 100 * tol_feas and dres_b <= 100 * tol_feas
-                     and relgap_b <= 100 * tol_gap)
-            status = "optimal" if loose else "max_iter"
-            if loose:
-                msg = f"converged at reduced accuracy ({msg})"
-            return EngineResult(status, xs_b, ys_b, zs_b, ss_b, pobj_b, dobj_b,
-                                gap_b, relgap_b, pres_b, dres_b, it, msg)
+            if (best.pres <= 100 * tol_feas and best.dres <= 100 * tol_feas
+                    and best.relgap <= 100 * tol_gap):
+                return replace(best, status="optimal", iterations=it,
+                               message=f"converged at reduced accuracy ({msg})")
+            return replace(best, iterations=it, message=msg)
 
         if it == max_iter or stall >= 3:
             return finish("stalled" if stall >= 3 else "iteration limit reached")

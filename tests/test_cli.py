@@ -34,6 +34,21 @@ def inst(tmp_path):
     return paths
 
 
+@pytest.fixture
+def conelp_calls(monkeypatch):
+    """Record every conic solve the command starts (calls still run)."""
+    import ellest.solver.program as program
+
+    calls, real = [], program.conelp
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(program, "conelp", recorded)
+    return calls
+
+
 def read_report(path) -> dict:
     with open(path) as fp:
         return json.load(fp)
@@ -240,16 +255,17 @@ def test_solver_tol_env_rejects_bad_values(inst, monkeypatch, capsys, value):
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
-def test_sdprelax_budget_below_one_exits_2(inst, capsys, budget):
+def test_sdprelax_budget_below_one_exits_2(inst, capsys, conelp_calls, budget):
     pc = str(inst["dir"] / "C.csv")
     io.write_matrix(pc, np.eye(3))
     rc = main(["sdprelax", pc, inst["ell"], "--budget", budget])
     assert rc == 2
     assert "budget" in capsys.readouterr().err
+    assert conelp_calls == []
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
-def test_robust_samples_below_one_exits_2(inst, capsys, samples):
+def test_robust_samples_below_one_exits_2(inst, capsys, conelp_calls, samples):
     pe, pf = str(inst["dir"] / "E.csv"), str(inst["dir"] / "F.csv")
     io.write_matrix(pe, 0.2 * np.ones((2, 5)))
     io.write_matrix(pf, 0.2 * np.ones((2, 3)))
@@ -258,3 +274,67 @@ def test_robust_samples_below_one_exits_2(inst, capsys, samples):
                "--out-h", str(inst["dir"] / "Hr.csv")])
     assert rc == 2
     assert "N must be at least 1" in capsys.readouterr().err
+    assert conelp_calls == []
+
+
+def test_dump_program_round_trip(inst):
+    """A dump file is the lowered program conelp solved: re-solving it gives
+    the reported value and the written H."""
+    from ellest.solver import ConeDims, conelp
+
+    prefix = str(inst["dir"] / "rt")
+    out_h, rpt = str(inst["dir"] / "Hrt.csv"), str(inst["dir"] / "rt.json")
+    rc = main(["--dump-program", prefix, "estimate", inst["A"], inst["B"], inst["ell"],
+               "--sigma", "0.5", "--out-h", out_h, "--report", rpt])
+    assert rc == 0
+    dump = json.loads((inst["dir"] / "rt.1.json").read_text())
+    c, G, h, A, b = (None if dump[k] is None else np.array(dump[k], dtype=float)
+                     for k in ("c", "G", "h", "A", "b"))
+    dims = ConeDims(l=dump["dims"]["l"], q=tuple(dump["dims"]["q"]),
+                    s=tuple(dump["dims"]["s"]))
+    res = conelp(c, G, h, dims, A, b)
+    assert res.status == "optimal"
+    assert res.x.shape == (dump["num_vars"],)
+    assert res.pobj == pytest.approx(read_report(rpt)["opt"], rel=1e-9)
+    lo, hi = dump["var_table"]["H"]
+    H = io.read_matrix(out_h)
+    np.testing.assert_allclose(res.x[lo:hi].reshape(H.shape), H, rtol=1e-9, atol=1e-12)
+
+
+def test_unsupported_pnorm_ball_exits_2(inst, capsys):
+    ell = inst["dir"] / "p3.json"
+    ell.write_text(json.dumps({"S": [np.eye(3).tolist()],
+                               "tset": {"variant": "pnorm_ball", "K": 1, "p": 3}}))
+    rc = main(["estimate", inst["A"], inst["B"], str(ell), "--sigma", "0.5",
+               "--out-h", str(inst["dir"] / "Hp.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "p=3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, argv", [
+    pytest.param("sigma", ["estimate", "{A}", "{B}", "{ell}", "--sigma", "nan"],
+                 id="estimate-sigma-nan"),
+    pytest.param("sigma", ["estimate", "{A}", "{B}", "{ell}", "--sigma", "inf"],
+                 id="estimate-sigma-inf"),
+    pytest.param("sigma", ["experiment", "ellipsoid", "--n", "4", "--sigma-grid", "nan",
+                           "--out", "res"], id="experiment-sigma-grid-nan"),
+    pytest.param("sigma", ["experiment", "ellipsoid", "--n", "4", "--sigma-grid", "0.1,inf",
+                           "--out", "res"], id="experiment-sigma-grid-inf"),
+    pytest.param("trace_cap", ["experiment", "pendulum", "--horizon", "2",
+                               "--trace-cap", "nan", "--out", "res"],
+                 id="experiment-trace-cap-nan"),
+    pytest.param("sigma", ["srisk", "{A}", "{B}", "--sigma", "nan", "--optimize-S"],
+                 id="srisk-sigma-nan"),
+    pytest.param("sigma", ["srisk", "{A}", "{B}", "--sigma", "nan", "--whole-space",
+                           "--S", "{S}"], id="srisk-whole-space-sigma-nan"),
+    pytest.param("trace_cap", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--optimize-S",
+                               "--trace-cap", "nan"], id="srisk-trace-cap-nan"),
+    pytest.param("trace_cap", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--optimize-S",
+                               "--trace-cap", "inf"], id="srisk-trace-cap-inf"),
+])
+def test_non_finite_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
+    rc = main([a.format(**inst) for a in argv])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert conelp_calls == []

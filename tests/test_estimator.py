@@ -149,4 +149,4 @@ def test_duality_gap_small_random(rng):
         est = build_linear_estimate(prob)
         sol = est.solution
         assert sol is not None and sol.is_optimal
-        assert abs(sol.objective - sol.dual_objective) <= 1e-6 * (1 + abs(sol.objective))
+        assert abs(sol.pobj - sol.dobj) <= 1e-6 * (1 + abs(sol.pobj))

@@ -134,7 +134,7 @@ def test_builder_lp_roundtrip():
     b.nonneg(x)
     prog = b.build()
     sol = solve_or_raise(prog)
-    assert abs(sol.objective + 1.0) < 1e-7
+    assert abs(sol.pobj + 1.0) < 1e-7
     xv = sol.var(prog, "x")
     assert abs(float(np.sum(xv)) - 1.0) < 1e-6
 
@@ -150,7 +150,7 @@ def test_builder_named_variable_extraction():
     b.nonneg(v)
     prog = b.build()
     sol = solve_or_raise(prog)
-    assert abs(sol.objective - 1.0) < 1e-6
+    assert abs(sol.pobj - 1.0) < 1e-6
     uv = sol.var(prog, "u")
     vv = sol.var(prog, "v")
     assert uv.shape == (1,) and vv.shape == (2,)
@@ -191,7 +191,7 @@ def test_random_conic_duality(rng):
         if sol.status != "optimal":
             continue
         assert sol.relgap <= 1e-6, (k, sol.relgap)
-        assert sol.residuals["primal"] <= 1e-6
-        assert sol.residuals["dual"] <= 1e-6
+        assert sol.pres <= 1e-6
+        assert sol.dres <= 1e-6
         checked += 1
     assert checked >= 8
