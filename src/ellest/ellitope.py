@@ -337,7 +337,7 @@ class RawEllitope:
             rows, cols = np.nonzero(L)
             soc.set_triplets(rows + 2, y[cols], 2.0 * L[rows, cols])
         add_tset_cone(b, core.tset, t)
-        sol = solve(b.build(), tol_gap=1e-7, tol_feas=1e-8)
+        sol = solve(b.build(), tol_gap=1e-7)
         return sol.status == "optimal"
 
 

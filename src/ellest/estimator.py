@@ -112,8 +112,7 @@ def add_neg_product(L, M: np.ndarray, h_idx: np.ndarray, nu: int,
                    h_idx[aa[keep] * nu + bb[keep]], vals[keep])
 
 
-def build_linear_estimate(prob: EstimationProblem, *, tol_gap: float = 1e-8,
-                          tol_feas: float = 1e-8) -> LinearEstimate:
+def build_linear_estimate(prob: EstimationProblem, *, tol_gap: float = 1e-8) -> LinearEstimate:
     """Solve the design problem and package the optimal (H, lam)."""
     A, B, ell = prob.A, prob.B, prob.ell
     m, n, nu, K = prob.m, ell.n, prob.nu, ell.K
@@ -130,7 +129,7 @@ def build_linear_estimate(prob: EstimationProblem, *, tol_gap: float = 1e-8,
     add_design_lmi(L, A, B, ell.S, lam, h)
 
     prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap, tol_feas=tol_feas)
+    sol = solve_or_raise(prog, tol_gap=tol_gap)
     H = sol.var(prog, "H").reshape(m, nu)
     lam_v = np.maximum(sol.var(prog, "lam"), 0.0)
     opt = float(sol.pobj)

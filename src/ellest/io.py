@@ -28,12 +28,26 @@ def write_matrix(path: str, M: np.ndarray) -> None:
 
 
 def read_matrix(path: str) -> np.ndarray:
+    """Read a matrix CSV; raise ValueError naming path:line for an empty
+    file, a ragged row, or an entry that is not a finite number."""
     rows = []
     with open(path) as fp:
-        for line in fp:
+        for lineno, line in enumerate(fp, 1):
             line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
+            if not line:
+                continue
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: entry is not a number") from None
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"{path}:{lineno}: entry is not finite")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: row has {len(row)} entries, "
+                                 f"expected {len(rows[0])}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}:1: file holds no matrix rows")
     return np.array(rows, dtype=float)
 
 

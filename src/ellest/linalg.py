@@ -37,35 +37,20 @@ def _svec_scale(n: int) -> np.ndarray:
 
 
 def svec(M: np.ndarray) -> np.ndarray:
-    n = M.shape[0]
+    """svec of a symmetric matrix, or of each matrix of a (k, n, n) stack."""
+    n = M.shape[-1]
     rows, cols = _tri_indices(n)
-    return M[rows, cols] * _svec_scale(n)
+    return M[..., rows, cols] * _svec_scale(n)
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of svec: (svec_len(n),) -> (n, n), or (k, svec_len(n)) -> (k, n, n)."""
     rows, cols = _tri_indices(n)
     vals = v / _svec_scale(n)
-    M = np.zeros((n, n))
-    M[rows, cols] = vals
-    M[cols, rows] = vals
+    M = np.zeros(v.shape[:-1] + (n, n))
+    M[..., rows, cols] = vals
+    M[..., cols, rows] = vals
     return M
-
-
-def svec_batch(Ms: np.ndarray) -> np.ndarray:
-    """svec applied along the first axis of a (k, n, n) stack."""
-    n = Ms.shape[-1]
-    rows, cols = _tri_indices(n)
-    return Ms[:, rows, cols] * _svec_scale(n)[None, :]
-
-
-def smat_batch(V: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of svec_batch: (k, svec_len(n)) -> (k, n, n)."""
-    rows, cols = _tri_indices(n)
-    vals = V / _svec_scale(n)[None, :]
-    out = np.zeros((V.shape[0], n, n))
-    out[:, rows, cols] = vals
-    out[:, cols, rows] = vals
-    return out
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -88,12 +73,12 @@ def psd_sqrt(M: np.ndarray, clip: float = 0.0) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.T
 
 
-def safe_cholesky(M: np.ndarray, jitter: float = 0.0, max_tries: int = 5) -> np.ndarray:
-    """Cholesky with escalating diagonal jitter. Raises after max_tries."""
+def safe_cholesky(M: np.ndarray) -> np.ndarray:
+    """Cholesky with escalating diagonal jitter. Raises after five tries."""
     M = sym(np.asarray(M, dtype=float))
     scale = max(float(np.trace(M)) / max(M.shape[0], 1), 1e-300)
-    eps = jitter
-    for _ in range(max_tries):
+    eps = 0.0
+    for _ in range(5):
         try:
             return np.linalg.cholesky(M if eps == 0.0 else M + eps * np.eye(M.shape[0]))
         except np.linalg.LinAlgError:
@@ -113,7 +98,7 @@ def congruence_svec_map(V: np.ndarray) -> np.ndarray:
     O = np.einsum("ip,jp->pij", R1, R2)
     O = O + np.transpose(O, (0, 2, 1))
     O /= np.where(ai == bi, 2.0, SQRT2)[:, None, None]
-    return svec_batch(O).T
+    return svec(O).T
 
 
 def spectral_norm(M: np.ndarray) -> float:

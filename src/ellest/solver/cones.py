@@ -8,15 +8,22 @@ Scaling conventions: W is the NT scaling with lambda = W z = W^{-T} s for
 strictly interior s, z. For the nonneg orthant W is diagonal, for SOC blocks it
 is a hyperbolic Householder-like symmetric matrix applied in O(dim), and for
 PSD blocks it acts by congruence, W v = svec(R^T mat(v) R).
+
+Scaling holds one list of per-block factors aligned with ConeDims.blocks(),
+and one loop over it, Scaling.apply, applies W, W', W^{-1} or W^{-T} to a
+cone vector or to the columns of a (cone_len, k) array; scale_G is W^{-T} G.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..linalg import safe_cholesky, smat, svec, svec_len
+
+# Columns per scale_G slice: bounds the (chunk, n, n) PSD congruence temporaries.
+PSD_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -134,57 +141,54 @@ def jordan_mul(dims: ConeDims, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class _SocScaling:
-    beta: float
-    wbar: np.ndarray  # unit hyperbolic vector, wbar' J wbar = 1
+def _reflect(a: float, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply [[a, b'], [b, I + b b'/(1 + a)]] to a vector or to each column.
 
-    def apply_wbar(self, v: np.ndarray) -> np.ndarray:
-        a, b = self.wbar[0], self.wbar[1:]
-        top = a * v[0] + b @ v[1:]
-        rest = v[0] * b + v[1:] + (b @ v[1:]) / (1.0 + a) * b
-        return np.concatenate(([top], rest))
-
-    def apply_wbar_inv(self, v: np.ndarray) -> np.ndarray:
-        a, b = self.wbar[0], self.wbar[1:]
-        top = a * v[0] - b @ v[1:]
-        rest = -v[0] * b + v[1:] + (b @ v[1:]) / (1.0 + a) * b
-        return np.concatenate(([top], rest))
+    With (a, b) = wbar this is the SOC block of W / beta; with (a, -b) it is
+    the block of W^{-1} * beta.
+    """
+    bt = b @ v[1:]
+    out = np.empty_like(v)
+    out[0] = a * v[0] + bt
+    out[1:] = np.multiply.outer(b, v[0]) + v[1:] + np.multiply.outer(b, bt / (1.0 + a))
+    return out
 
 
 @dataclass
 class Scaling:
-    """NT scaling state for one (s, z) pair, plus lambda = W z."""
+    """NT scaling state for one (s, z) pair, plus lambda = W z.
+
+    blocks follows dims.blocks(): the diagonal d of W for the orthant,
+    (beta, wbar) for an SOC block, (R, Rinv) for a PSD block.
+    """
 
     dims: ConeDims
-    d_nn: np.ndarray | None = None              # nonneg: W = diag(d_nn)
-    socs: list[_SocScaling] = field(default_factory=list)
-    Rs: list[np.ndarray] = field(default_factory=list)      # psd: W v = svec(R' V R)
-    Rinvs: list[np.ndarray] = field(default_factory=list)
-    lam: np.ndarray | None = None
+    blocks: list
+    lam: np.ndarray
 
     @classmethod
     def identity(cls, dims: ConeDims) -> "Scaling":
-        sc = cls(dims)
-        sc.d_nn = np.ones(dims.l)
-        for n in dims.q:
-            sc.socs.append(_SocScaling(1.0, np.concatenate(([1.0], np.zeros(n - 1)))))
-        for n in dims.s:
-            sc.Rs.append(np.eye(n))
-            sc.Rinvs.append(np.eye(n))
-        sc.lam = dims.identity()
-        return sc
+        e = dims.identity()
+        blocks = []
+        for kind, off, ln, n in dims.blocks():
+            if kind == "l":
+                blocks.append(e[off:off + ln])
+            elif kind == "q":
+                blocks.append((1.0, e[off:off + ln]))
+            else:
+                blocks.append((np.eye(n), np.eye(n)))
+        return cls(dims, blocks, dims.identity())
 
     @classmethod
     def compute(cls, dims: ConeDims, s: np.ndarray, z: np.ndarray) -> "Scaling":
-        sc = cls(dims)
+        blocks = []
         lam = np.empty(dims.cone_len)
         for kind, off, ln, n in dims.blocks():
             sb, zb = s[off:off + ln], z[off:off + ln]
             if kind == "l":
                 if sb.min(initial=np.inf) <= 0 or zb.min(initial=np.inf) <= 0:
                     raise np.linalg.LinAlgError("nonneg iterate left the interior")
-                sc.d_nn = np.sqrt(sb / zb)
+                blocks.append(np.sqrt(sb / zb))
                 lam[off:off + ln] = np.sqrt(sb * zb)
             elif kind == "q":
                 j2s, j2z = _jnorm2(sb), _jnorm2(zb)
@@ -195,9 +199,8 @@ class Scaling:
                 st, zt = sb / res, zb / rez
                 gamma = np.sqrt((1.0 + st @ zt) / 2.0)
                 wbar = (st + np.concatenate(([zt[0]], -zt[1:]))) / (2.0 * gamma)
-                soc = _SocScaling(float(np.sqrt(res / rez)), wbar)
-                sc.socs.append(soc)
-                lam[off:off + ln] = np.sqrt(res * rez) * soc.apply_wbar(zb / rez)
+                blocks.append((float(np.sqrt(res / rez)), wbar))
+                lam[off:off + ln] = np.sqrt(res * rez) * _reflect(wbar[0], wbar[1:], zt)
             else:
                 S, Z = smat(sb, n), smat(zb, n)
                 Ls, Lz = safe_cholesky(S), safe_cholesky(Z)
@@ -205,56 +208,35 @@ class Scaling:
                 isq = 1.0 / np.sqrt(sig)
                 R = Ls @ Vt.T * isq[None, :]
                 Rinv = (U * isq[None, :]).T @ Lz.T
-                sc.Rs.append(R)
-                sc.Rinvs.append(Rinv)
+                blocks.append((R, Rinv))
                 lam[off:off + ln] = svec(np.diag(sig))
-        sc.lam = lam
-        return sc
+        return cls(dims, blocks, lam)
 
-    # The four scaling applications. For nonneg and SOC blocks W is symmetric;
-    # PSD blocks need the transpose pair tracked explicitly.
-    def _apply(self, v: np.ndarray, mode: str) -> np.ndarray:
-        dims = self.dims
-        out = np.empty(dims.cone_len)
-        iq = ips = 0
-        for kind, off, ln, n in dims.blocks():
+    def apply(self, v: np.ndarray, mode: str) -> np.ndarray:
+        """W v, W' v, W^{-1} v or W^{-T} v for mode w, wt, winv or winvt.
+
+        v is a cone vector or a (cone_len, k) array scaled column by column.
+        Orthant and SOC blocks of W are symmetric; a PSD block acts by
+        congruence, W v = svec(R' mat(v) R), so its transpose pair matters.
+        """
+        out = np.empty_like(v)
+        fwd = mode in ("w", "wt")
+        for (kind, off, ln, n), blk in zip(self.dims.blocks(), self.blocks):
             vb = v[off:off + ln]
             if kind == "l":
-                d = self.d_nn
-                out[off:off + ln] = vb * d if mode in ("w", "wt") else vb / d
+                out[off:off + ln] = (vb.T * blk).T if fwd else (vb.T / blk).T
             elif kind == "q":
-                soc = self.socs[iq]
-                if mode in ("w", "wt"):
-                    out[off:off + ln] = soc.beta * soc.apply_wbar(vb)
+                beta, wbar = blk
+                if fwd:
+                    out[off:off + ln] = beta * _reflect(wbar[0], wbar[1:], vb)
                 else:
-                    out[off:off + ln] = soc.apply_wbar_inv(vb) / soc.beta
-                iq += 1
+                    out[off:off + ln] = _reflect(wbar[0], -wbar[1:], vb) / beta
             else:
-                R, Rinv = self.Rs[ips], self.Rinvs[ips]
-                V = smat(vb, n)
-                if mode == "w":
-                    M = R.T @ V @ R
-                elif mode == "wt":
-                    M = R @ V @ R.T
-                elif mode == "winv":
-                    M = Rinv.T @ V @ Rinv
-                else:  # winvt
-                    M = Rinv @ V @ Rinv.T
-                out[off:off + ln] = svec(0.5 * (M + M.T))
-                ips += 1
+                R = blk[0] if fwd else blk[1]
+                L, Rr = (R, R.T) if mode in ("wt", "winvt") else (R.T, R)
+                M = L @ (smat(vb.T, n) @ Rr)
+                out[off:off + ln] = svec(0.5 * (M + np.swapaxes(M, -1, -2))).T
         return out
-
-    def apply_W(self, v):
-        return self._apply(v, "w")
-
-    def apply_Wt(self, v):
-        return self._apply(v, "wt")
-
-    def apply_Winv(self, v):
-        return self._apply(v, "winv")
-
-    def apply_Winvt(self, v):
-        return self._apply(v, "winvt")
 
     def lam_div(self, u: np.ndarray) -> np.ndarray:
         """Solve lambda o x = u. lambda is diagonal in the scaled frame."""
@@ -282,41 +264,9 @@ class Scaling:
         return out
 
     def scale_G(self, G: np.ndarray) -> np.ndarray:
-        """Return W^{-T} G, the cone-side scaled constraint matrix."""
-        dims = self.dims
+        """Return W^{-T} G, the cone-side scaled constraint matrix, applied
+        PSD_CHUNK columns at a time."""
         out = np.empty_like(G)
-        iq = ips = 0
-        for kind, off, ln, n in dims.blocks():
-            blk = G[off:off + ln, :]
-            if kind == "l":
-                out[off:off + ln, :] = blk / self.d_nn[:, None]
-            elif kind == "q":
-                soc = self.socs[iq]
-                a, b = soc.wbar[0], soc.wbar[1:]
-                top = blk[0, :]
-                rest = blk[1:, :]
-                bt = b @ rest
-                new_top = a * top - bt
-                new_rest = (-top[None, :] * b[:, None]) + rest + (bt[None, :] / (1.0 + a)) * b[:, None]
-                out[off, :] = new_top / soc.beta
-                out[off + 1:off + ln, :] = new_rest / soc.beta
-                iq += 1
-            else:
-                out[off:off + ln, :] = _psd_congruence_cols(blk, self.Rinvs[ips], n)
-                ips += 1
+        for lo in range(0, G.shape[1], PSD_CHUNK):
+            out[:, lo:lo + PSD_CHUNK] = self.apply(G[:, lo:lo + PSD_CHUNK], "winvt")
         return out
-
-
-def _psd_congruence_cols(Gblk: np.ndarray, Rinv: np.ndarray, n: int, chunk: int = 256) -> np.ndarray:
-    """Apply v -> svec(Rinv mat(v) Rinv^T) to every column of Gblk."""
-    from ..linalg import smat_batch, svec_batch
-
-    d = Gblk.shape[1]
-    out = np.empty_like(Gblk)
-    for lo in range(0, d, chunk):
-        hi = min(lo + chunk, d)
-        Ms = smat_batch(Gblk[:, lo:hi].T, n)
-        Ms = np.einsum("ab,kbc,dc->kad", Rinv, Ms, Rinv, optimize=True)
-        Ms = 0.5 * (Ms + np.transpose(Ms, (0, 2, 1)))
-        out[:, lo:hi] = svec_batch(Ms).T
-    return out

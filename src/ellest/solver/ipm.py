@@ -30,6 +30,8 @@ import scipy.linalg
 from .cones import ConeDims, Scaling, cone_margin, jordan_mul, max_step
 
 STEP_FRACTION = 0.99
+TOL_FEAS = 1e-8
+MAX_ITER = 200
 
 
 @dataclass
@@ -100,24 +102,23 @@ class _KKT:
 
     def _solve_once(self, bx, by, bz):
         W = self.scaling
-        bz_s = W.apply_Winvt(bz)
+        bz_s = W.apply(bz, "winvt")
         rhs = np.concatenate([bx + self.Gs.T @ bz_s, by])
         sol = scipy.linalg.lu_solve(self.lu, rhs)
         u, v = sol[:self.d], sol[self.d:]
-        w = W.apply_Winv(self.Gs @ u - bz_s)
+        w = W.apply(self.Gs @ u - bz_s, "winv")
         return u, v, w
 
-    def solve3(self, bx, by, bz, refine: int = 1):
-        """Solve [0 A' G'; A 0 0; G 0 -W'W] (u,v,w) = (bx,by,bz)."""
+    def solve3(self, bx, by, bz):
+        """Solve [0 A' G'; A 0 0; G 0 -W'W] (u,v,w) = (bx,by,bz), with one
+        step of iterative refinement."""
         W = self.scaling
         u, v, w = self._solve_once(bx, by, bz)
-        for _ in range(refine):
-            r1 = bx - (self.A.T @ v + self.G.T @ w)
-            r2 = by - self.A @ u
-            r3 = bz - (self.G @ u - W.apply_Wt(W.apply_W(w)))
-            du, dv, dw = self._solve_once(r1, r2, r3)
-            u, v, w = u + du, v + dv, w + dw
-        return u, v, w
+        r1 = bx - (self.A.T @ v + self.G.T @ w)
+        r2 = by - self.A @ u
+        r3 = bz - (self.G @ u - W.apply(W.apply(w, "w"), "wt"))
+        du, dv, dw = self._solve_once(r1, r2, r3)
+        return u + du, v + dv, w + dw
 
 
 def conelp(
@@ -129,8 +130,6 @@ def conelp(
     b: np.ndarray | None = None,
     *,
     tol_gap: float = 1e-8,
-    tol_feas: float = 1e-8,
-    max_iter: int = 200,
 ) -> ConicSolution:
     c = np.asarray(c, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -168,7 +167,7 @@ def conelp(
     best = None
     stall = 0
 
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         # Residuals of the embedding.
         rx = A.T @ y + G.T @ z + c * tau
         ry = A @ x - b * tau
@@ -191,7 +190,7 @@ def conelp(
             best = ConicSolution("max_iter", xs.copy(), ys.copy(), zs.copy(), ss.copy(),
                                  pobj, dobj, gap, relgap, pres, dres)
 
-        if pres <= tol_feas and dres <= tol_feas and relgap <= tol_gap:
+        if pres <= TOL_FEAS and dres <= TOL_FEAS and relgap <= tol_gap:
             return ConicSolution("optimal", xs, ys, zs, ss, pobj, dobj, gap, relgap,
                                  pres, dres, it, "converged")
 
@@ -200,7 +199,7 @@ def conelp(
         if by_hz < 0:
             t = -1.0 / by_hz
             cert_res = np.linalg.norm(A.T @ (t * y) + G.T @ (t * z))
-            if cert_res <= tol_feas * norm_c:
+            if cert_res <= TOL_FEAS * norm_c:
                 return ConicSolution("primal_infeasible", None, t * y, t * z, None,
                                      pres=cert_res, iterations=it,
                                      message="primal infeasibility certificate found")
@@ -209,7 +208,7 @@ def conelp(
             t = -1.0 / cx
             res1 = np.linalg.norm(A @ (t * x))
             res2 = np.linalg.norm(G @ (t * x) + t * s)
-            if res1 <= tol_feas * norm_b and res2 <= tol_feas * norm_h:
+            if res1 <= TOL_FEAS * norm_b and res2 <= TOL_FEAS * norm_h:
                 return ConicSolution("dual_infeasible", t * x, None, None, t * s,
                                      pres=max(res1, res2), iterations=it,
                                      message="dual infeasibility certificate found")
@@ -217,13 +216,13 @@ def conelp(
         def finish(msg: str) -> ConicSolution:
             # Degenerate programs can stall short of full accuracy; accept the
             # best iterate when it clears a 100x-relaxed threshold.
-            if (best.pres <= 100 * tol_feas and best.dres <= 100 * tol_feas
+            if (best.pres <= 100 * TOL_FEAS and best.dres <= 100 * TOL_FEAS
                     and best.relgap <= 100 * tol_gap):
                 return replace(best, status="optimal", iterations=it,
                                message=f"converged at reduced accuracy ({msg})")
             return replace(best, iterations=it, message=msg)
 
-        if it == max_iter or stall >= 3:
+        if it == MAX_ITER or stall >= 3:
             return finish("stalled" if stall >= 3 else "iteration limit reached")
 
         mu = (s @ z + tau * kappa) / (deg + 1)
@@ -240,13 +239,14 @@ def conelp(
             lam = scaling.lam
 
             def newton(dst, dkt, eta):
-                bz2 = -eta * rz - scaling.apply_Wt(scaling.lam_div(dst))
+                wt_dst = scaling.apply(scaling.lam_div(dst), "wt")
+                bz2 = -eta * rz - wt_dst
                 x2, y2, z2 = kkt.solve3(-eta * rx, -eta * ry, bz2)
                 dtau = (-eta * rt - dkt / tau - (c @ x2 + b @ y2 + h @ z2)) / den
                 dx = x2 + dtau * x1
                 dy = y2 + dtau * y1
                 dz = z2 + dtau * z1
-                ds = scaling.apply_Wt(scaling.lam_div(dst)) - scaling.apply_Wt(scaling.apply_W(dz))
+                ds = wt_dst - scaling.apply(scaling.apply(dz, "w"), "wt")
                 dkap = (dkt - kappa * dtau) / tau
                 return dx, dy, dz, ds, dtau, dkap
 
@@ -259,7 +259,7 @@ def conelp(
             sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
 
             # Corrector.
-            corr = jordan_mul(dims, scaling.apply_Winvt(ds), scaling.apply_W(dz))
+            corr = jordan_mul(dims, scaling.apply(ds, "winvt"), scaling.apply(dz, "w"))
             dst = dst_aff - corr + sigma * mu * e
             dkt = -tau * kappa - dtau * dkap + sigma * mu
             dx, dy, dz, ds, dtau, dkap = newton(dst, dkt, 1.0 - sigma)

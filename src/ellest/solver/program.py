@@ -94,7 +94,8 @@ def _dump_lowered(path: str, prog: ConicProgram, c, G, h, dims, A, b) -> None:
 
 
 def solve(prog: ConicProgram, **kw) -> ConicSolution:
-    """Lower prog and run conelp on it (kw: tol_gap, tol_feas, max_iter)."""
+    """Lower prog and run conelp on it (kw: tol_gap; the feasibility tolerance
+    and the iteration limit are the constants ipm.TOL_FEAS and ipm.MAX_ITER)."""
     lowered = prog.lower()
     if _dump_state:
         _dump_state[1] += 1

@@ -338,3 +338,25 @@ def test_non_finite_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
     assert rc == 2
     assert name in capsys.readouterr().err
     assert conelp_calls == []
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param("", 1, id="empty"),
+    pytest.param("1,2,3\n1,2\n", 2, id="ragged"),
+    pytest.param("1,2,3\n1,x,3\n", 2, id="unparsable"),
+    pytest.param("1,2,3\n\n1,nan,3\n", 3, id="nan"),
+    pytest.param("1,inf,3\n", 1, id="inf"),
+])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["estimate", "{bad}", "{B}", "{ell}", "--sigma", "0.5"], id="estimate"),
+    pytest.param(["srisk", "{bad}", "{B}", "--sigma", "0.5", "--whole-space", "--S", "{B}"],
+                 id="srisk"),
+])
+def test_malformed_matrix_csv_exits_2(inst, capsys, conelp_calls, text, line, argv):
+    bad = inst["dir"] / "bad.csv"
+    bad.write_text(text)
+    rc = main([a.format(bad=bad, **inst) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:{line}:" in err and "Traceback" not in err
+    assert conelp_calls == []

@@ -1,6 +1,8 @@
-"""Static check: every name a module of the package imports is used in it.
+"""Static checks: every name a module of the package imports is used in it,
+and every private module-level name is referenced somewhere in the package.
 
-Package __init__ modules are exempt, since their imports are re-exports."""
+Package __init__ modules are exempt from the import check, since their
+imports are re-exports."""
 
 import ast
 from pathlib import Path
@@ -31,3 +33,33 @@ def test_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        out += [(node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def test_no_unreferenced_private_names():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.rglob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    dead = [f"{path.relative_to(PACKAGE.parent)}:{line}: {name}"
+            for path, tree in trees.items()
+            for line, name in _private_definitions(tree) if name not in referenced]
+    assert not dead, "unreferenced private names:\n" + "\n".join(dead)

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 from ellest.linalg import svec
 from ellest.rng import stream
 from ellest.solver import Builder, SolverError, solve, solve_or_raise
-from ellest.solver.cones import ConeDims
+from ellest.solver.cones import PSD_CHUNK, ConeDims, Scaling
 from ellest.solver.ipm import conelp
 
 
@@ -195,3 +195,43 @@ def test_random_conic_duality(rng):
         assert sol.dres <= 1e-6
         checked += 1
     assert checked >= 8
+
+
+def _interior(rng, dims: ConeDims) -> np.ndarray:
+    v = np.empty(dims.cone_len)
+    for kind, off, ln, n in dims.blocks():
+        if kind == "l":
+            v[off:off + ln] = rng.uniform(0.1, 2.0, ln)
+        elif kind == "q":
+            v[off + 1:off + ln] = rng.standard_normal(ln - 1)
+            v[off] = np.linalg.norm(v[off + 1:off + ln]) + rng.uniform(0.1, 1.0)
+        else:
+            X = rng.standard_normal((n, n))
+            v[off:off + ln] = svec(X @ X.T + 0.1 * np.eye(n))
+    return v
+
+
+@pytest.mark.parametrize("dims", [
+    pytest.param(ConeDims(l=6), id="orthant"),
+    pytest.param(ConeDims(q=(1, 7)), id="soc"),
+    pytest.param(ConeDims(s=(5,)), id="psd"),
+    pytest.param(ConeDims(l=3, q=(4, 6), s=(2, 4)), id="mixed"),
+])
+def test_scaling_algebra(dims):
+    rng = stream(5, dims.cone_len)
+    s, z = _interior(rng, dims), _interior(rng, dims)
+    sc = Scaling.compute(dims, s, z)
+    tol = dict(rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(sc.apply(z, "w"), sc.lam, **tol)
+    np.testing.assert_allclose(sc.apply(s, "winvt"), sc.lam, **tol)
+    v = rng.standard_normal(dims.cone_len)
+    np.testing.assert_allclose(sc.apply(sc.apply(v, "w"), "winv"), v, **tol)
+    np.testing.assert_allclose(sc.apply(sc.apply(v, "wt"), "winvt"), v, **tol)
+
+    V = rng.standard_normal((dims.cone_len, 3))
+    for mode in ("w", "wt", "winv", "winvt"):
+        cols = np.column_stack([sc.apply(V[:, j], mode) for j in range(V.shape[1])])
+        np.testing.assert_allclose(sc.apply(V, mode), cols, rtol=1e-13, atol=1e-13)
+    G = rng.standard_normal((dims.cone_len, PSD_CHUNK + 44))
+    cols = np.column_stack([sc.apply(G[:, j], "winvt") for j in range(G.shape[1])])
+    np.testing.assert_allclose(sc.scale_G(G), cols, rtol=1e-13, atol=1e-13)
