@@ -10,15 +10,10 @@ conic interior-point solver.
 
 from .ellitope import (
     Ellitope,
-    RawEllitope,
     TSet,
-    canonicalize,
     direct_product,
     intersect,
     inverse_image,
-    linear_image,
-    minkowski_sum,
-    support_function,
 )
 from .estimator import (
     EstimationProblem,
@@ -97,7 +92,6 @@ __all__ = [
     "PendulumProblem",
     "QUADRATIC_APPROX",
     "RHO_FAMILY",
-    "RawEllitope",
     "RelaxationResult",
     "SRiskEstimate",
     "SRiskProblem",
@@ -111,7 +105,6 @@ __all__ = [
     "build_pendulum_problem",
     "build_robust_estimate",
     "build_srisk_estimate",
-    "canonicalize",
     "check_rademacher_moment",
     "chi2_tail_bound",
     "delta_rho",
@@ -123,10 +116,8 @@ __all__ = [
     "gen_random_rotated_A",
     "intersect",
     "inverse_image",
-    "linear_image",
     "lower_bound_rho_family",
     "m_star",
-    "minkowski_sum",
     "near_optimality_factor",
     "optimize_S_bisection",
     "phi_gauss",
@@ -144,7 +135,6 @@ __all__ = [
     "solve_bayesian_sdp",
     "solve_or_raise",
     "srisk_lower_bound",
-    "support_function",
     "verify_robust_feasibility",
     "whole_space_estimate",
     "worst_case_signal",

@@ -1,13 +1,19 @@
 """Ellitope signal sets.
 
-An ellitope is a set {x = Py : exists t in T with y'S_k y <= t_k for all k}
+An ellitope is a set {x : exists t in T with x'S_k x <= t_k for all k}
 where the S_k are PSD with positive-definite sum and T is a monotone compact
-convex subset of the nonnegative orthant. The canonical case has P = I.
+convex subset of the nonnegative orthant.
 
 T is a closed enum of three families (unit segment, unit box, scaled p-norm
 ball); every set used by the estimation routines is one of these, and the
 closed-form support functions keep the downstream conic programs clean. The
 enum is the extension point if more T's are ever needed.
+
+The calculus rules (intersect, direct_product, inverse_image) return plain
+Ellitopes in this canonical form, so their results go to every estimator
+and to the descriptor files unchanged. A linear image P Y of an ellitope Y
+needs no set object: estimating Bx from Ax over x in P Y is estimating
+(BP)y from (AP)y over y in Y.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import min_eig, psd_sqrt, psd_tolerance, sym
-from .solver import Builder, solve
+from .linalg import min_eig, psd_tolerance
+from .solver import Builder
 
 SEGMENT = "unit_segment"
 BOX = "unit_box"
@@ -142,10 +148,6 @@ class TSet:
         return cls(d["variant"], int(d["K"]), d.get("p"))
 
 
-def support_function(tset: TSet, lam: np.ndarray) -> float:
-    return tset.support(lam)
-
-
 def add_tset_cone(b: Builder, tset: TSet, t_idx: np.ndarray,
                   tau_idx: int | None = None) -> None:
     """Constrain [t; tau] to the closed cone {tau > 0, t/tau in T}.
@@ -213,7 +215,7 @@ def add_support_epigraph(b: Builder, tset: TSet, lam_idx: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Ellitope:
-    """Canonical ellitope (P = I): {x : exists t in T, x'S_k x <= t_k}."""
+    """{x : exists t in T, x'S_k x <= t_k}."""
 
     n: int
     S: np.ndarray                 # (K, n, n), each PSD, sum positive definite
@@ -256,9 +258,6 @@ class Ellitope:
     def support(self, lam: np.ndarray) -> float:
         return self.tset.support(lam)
 
-    def as_raw(self) -> "RawEllitope":
-        return RawEllitope(self, np.eye(self.n))
-
     def sample(self, rng: np.random.Generator, size: int,
                boundary: bool = True) -> np.ndarray:
         """Random points of the set, scaled to the boundary by default."""
@@ -290,77 +289,6 @@ class Ellitope:
         return cls(n, S, TSet.unit_box(n))
 
 
-@dataclass(frozen=True)
-class RawEllitope:
-    """Ellitope with an explicit injection: {P y : y in core set}."""
-
-    core: Ellitope
-    P: np.ndarray                 # (n, nbar)
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        if P.ndim != 2 or P.shape[1] != self.core.n:
-            raise ValueError("P must be (n, nbar) with nbar = core dimension")
-        object.__setattr__(self, "P", P)
-
-    @property
-    def n(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def nbar(self) -> int:
-        return self.P.shape[1]
-
-    def contains(self, x: np.ndarray, tol: float = 1e-7) -> bool:
-        """Membership by conic feasibility: exists y with Py = x, y in core.
-
-        Relative tolerance semantics as in Ellitope.contains: the point tested
-        is x/(1+tol).
-        """
-        x = np.asarray(x, dtype=float) / (1.0 + tol)
-        if x.shape != (self.n,):
-            raise ValueError(f"x must have length {self.n}")
-        core = self.core
-        b = Builder()
-        y = b.vars("y", core.n)
-        t = b.vars("t", core.K)
-        for r in range(self.n):
-            cols = y[np.nonzero(self.P[r])[0]]
-            b.eq(cols, self.P[r][np.nonzero(self.P[r])[0]], x[r])
-        for k in range(core.K):
-            L = psd_sqrt(core.S[k])
-            keep = np.where(np.linalg.norm(L, axis=1) > 1e-14)[0]
-            L = L[keep]
-            soc = b.soc(2 + L.shape[0])
-            soc.set_row(0, [t[k]], [1.0], 1.0)          # t_k + 1
-            soc.set_row(1, [t[k]], [1.0], -1.0)         # t_k - 1
-            rows, cols = np.nonzero(L)
-            soc.set_triplets(rows + 2, y[cols], 2.0 * L[rows, cols])
-        add_tset_cone(b, core.tset, t)
-        sol = solve(b.build(), tol_gap=1e-7)
-        return sol.status == "optimal"
-
-
-def canonicalize(raw: RawEllitope, A: np.ndarray, B: np.ndarray):
-    """Push the injection into the problem data: estimate B(Py) from A(Py)y.
-
-    Returns (core ellitope, A P, B P); risks are unchanged by construction.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape[1] != raw.n or B.shape[1] != raw.n:
-        raise ValueError("A and B must act on the ambient space of the raw ellitope")
-    return raw.core, A @ raw.P, B @ raw.P
-
-
-def _as_raw(op) -> RawEllitope:
-    if isinstance(op, Ellitope):
-        return op.as_raw()
-    if isinstance(op, RawEllitope):
-        return op
-    raise TypeError("operands must be Ellitope or RawEllitope")
-
-
 def _product_tset(tsets: list[TSet]) -> TSet:
     # products stay inside the closed three-variant family only for the
     # box-like members; a pnorm factor has no box-family product form
@@ -372,115 +300,39 @@ def _product_tset(tsets: list[TSet]) -> TSet:
     return TSet.unit_segment() if K == 1 else TSet.unit_box(K)
 
 
-def _stacked_blocks(raws: list[RawEllitope]):
-    """Block-embedded S list over the stacked lifted space, plus offsets."""
-    dims = [r.nbar for r in raws]
-    total = sum(dims)
-    offs = np.cumsum([0] + dims)
-    S_all = []
-    for i, r in enumerate(raws):
-        lo = offs[i]
-        for k in range(r.core.K):
-            Sk = np.zeros((total, total))
-            Sk[lo:lo + dims[i], lo:lo + dims[i]] = r.core.S[k]
-            S_all.append(Sk)
-    return np.array(S_all), offs, total
-
-
-def _restrict(S_all: np.ndarray, P: np.ndarray, N: np.ndarray,
-              tset: TSet) -> RawEllitope:
-    """Restrict a stacked representation to the subspace y = N z."""
-    S_new = np.einsum("ia,kij,jb->kab", N, S_all, N)
-    S_new = np.array([sym(Sk) for Sk in S_new])
-    core = Ellitope(N.shape[1], S_new, tset)
-    return RawEllitope(core, P @ N)
-
-
-def intersect(ops: list) -> RawEllitope:
-    """Intersection; all operands must share the ambient dimension."""
-    raws = [_as_raw(o) for o in ops]
-    if not raws:
+def intersect(ops: list[Ellitope]) -> Ellitope:
+    """{x : x in every operand}: the S_k of all operands over the product T.
+    All operands must share n."""
+    if not ops:
         raise ValueError("empty operand list")
-    if len({r.n for r in raws}) != 1:
+    if len({o.n for o in ops}) != 1:
         raise ValueError("ambient dimension mismatch")
-    if len(raws) == 1:
-        return raws[0]
-    S_all, offs, total = _stacked_blocks(raws)
-    n = raws[0].n
-    # coupling rows P_i y^i = P_1 y^1, i >= 2
-    C = np.zeros(((len(raws) - 1) * n, total))
-    for i in range(1, len(raws)):
-        rows = slice((i - 1) * n, i * n)
-        C[rows, offs[0]:offs[1]] = raws[0].P
-        C[rows, offs[i]:offs[i + 1]] -= raws[i].P
-    N = _nullspace(C)
-    P_first = np.zeros((n, total))
-    P_first[:, offs[0]:offs[1]] = raws[0].P
-    tset = _product_tset([r.core.tset for r in raws])
-    return _restrict(S_all, P_first, N, tset)
+    if len(ops) == 1:
+        return ops[0]
+    return Ellitope(ops[0].n, np.concatenate([o.S for o in ops]),
+                    _product_tset([o.tset for o in ops]))
 
 
-def direct_product(ops: list) -> RawEllitope:
-    raws = [_as_raw(o) for o in ops]
-    if not raws:
+def direct_product(ops: list[Ellitope]) -> Ellitope:
+    """X_1 x ... x X_r: each S_k embedded in its factor's diagonal block,
+    over the product T."""
+    if not ops:
         raise ValueError("empty operand list")
-    S_all, offs, total = _stacked_blocks(raws)
-    n_out = sum(r.n for r in raws)
-    P = np.zeros((n_out, total))
-    row = 0
-    for i, r in enumerate(raws):
-        P[row:row + r.n, offs[i]:offs[i + 1]] = r.P
-        row += r.n
-    tset = _product_tset([r.core.tset for r in raws])
-    core = Ellitope(total, S_all, tset)
-    return RawEllitope(core, P)
+    offs = np.cumsum([0] + [o.n for o in ops])
+    S = np.zeros((sum(o.K for o in ops), offs[-1], offs[-1]))
+    k = 0
+    for o, lo, hi in zip(ops, offs, offs[1:]):
+        S[k:k + o.K, lo:hi, lo:hi] = o.S
+        k += o.K
+    return Ellitope(int(offs[-1]), S, _product_tset([o.tset for o in ops]))
 
 
-def linear_image(op, R: np.ndarray) -> RawEllitope:
-    raw = _as_raw(op)
+def inverse_image(ell: Ellitope, R: np.ndarray) -> Ellitope:
+    """{z : Rz in X} for R (n x p) with trivial kernel: S_k -> R'S_k R."""
     R = np.asarray(R, dtype=float)
-    if R.shape[1] != raw.n:
-        raise ValueError("R must act on the ambient space")
-    return RawEllitope(raw.core, R @ raw.P)
-
-
-def inverse_image(op, R: np.ndarray) -> RawEllitope:
-    """{z : Rz in X} for injective R."""
-    raw = _as_raw(op)
-    R = np.asarray(R, dtype=float)
-    if R.shape[0] != raw.n:
+    if R.ndim != 2 or R.shape[0] != ell.n:
         raise ValueError("R must map into the ambient space")
     if np.linalg.matrix_rank(R) < R.shape[1]:
         raise ValueError("inverse image requires R with trivial kernel")
-    Rpinv = np.linalg.pinv(R)
-    # subspace of lifted points whose image lands in Im R
-    proj_out = (np.eye(raw.n) - R @ Rpinv) @ raw.P
-    N = _nullspace(proj_out)
-    S_all = raw.core.S
-    return _restrict(S_all, Rpinv @ raw.P, N, raw.core.tset)
-
-
-def minkowski_sum(ops: list) -> RawEllitope:
-    raws = [_as_raw(o) for o in ops]
-    if not raws:
-        raise ValueError("empty operand list")
-    if len({r.n for r in raws}) != 1:
-        raise ValueError("ambient dimension mismatch")
-    S_all, offs, total = _stacked_blocks(raws)
-    P = np.hstack([r.P for r in raws])
-    tset = _product_tset([r.core.tset for r in raws])
-    core = Ellitope(total, S_all, tset)
-    return RawEllitope(core, P)
-
-
-def _nullspace(C: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker C (the full space when C has no rows)."""
-    if C.shape[0] == 0:
-        return np.eye(C.shape[1])
-    u, s, vt = np.linalg.svd(C, full_matrices=True)
-    tol = max(C.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
-    rank = int(np.sum(s > tol))
-    N = vt[rank:].T
-    if N.shape[1] == 0:
-        raise ValueError("coupling constraints leave only the origin")
-    return N
+    S = np.einsum("ia,kij,jb->kab", R, ell.S, R)
+    return Ellitope(R.shape[1], 0.5 * (S + S.transpose(0, 2, 1)), ell.tset)

@@ -25,6 +25,9 @@ from .solver import Builder, ConicSolution, solve_or_raise
 
 @dataclass(frozen=True)
 class EstimationProblem:
+    """Estimate Bx from omega = Ax + sigma xi with x in ell. For a signal set
+    P Y, the linear image of an ellitope Y, pass (A P, B P) with ell = Y."""
+
     A: np.ndarray           # m x n
     B: np.ndarray           # nu x n
     sigma: float
@@ -172,17 +175,22 @@ def empirical_risk(est: LinearEstimate, prob: EstimationProblem, x: np.ndarray,
     return mean, float(np.sqrt(var / N))
 
 
+def _ellipsoid_bias(H: np.ndarray, prob: EstimationProblem):
+    """(W, R^-1) with R = S1^{1/2}, M = B - H'A and W = R^-1 M'M R^-1, whose
+    top eigenvalue is the worst squared bias over the ellipsoid {x'S1 x <= 1}."""
+    ell = prob.ell
+    if ell.K != 1 or ell.tset.variant != "unit_segment":
+        raise ValueError("needs a K = 1 ellipsoid")
+    M = prob.B - H.T @ prob.A
+    Rinv = np.linalg.inv(psd_sqrt(ell.S[0]))
+    return Rinv @ (M.T @ M) @ Rinv, Rinv
+
+
 def exact_risk_on_ellipsoid(H: np.ndarray, prob: EstimationProblem) -> float:
     """Exact squared risk of w = H'omega when the signal set is an ellipsoid
     {x'S1 x <= 1}: sigma^2 Tr(H'H) + lam_max(S1^{-1/2} M'M S1^{-1/2}) with
     M = B - H'A."""
-    ell = prob.ell
-    if ell.K != 1 or ell.tset.variant != "unit_segment":
-        raise ValueError("exact risk formula needs a K = 1 ellipsoid")
-    M = prob.B - H.T @ prob.A
-    R = psd_sqrt(ell.S[0])
-    Rinv = np.linalg.inv(R)
-    W = Rinv @ (M.T @ M) @ Rinv
+    W, _ = _ellipsoid_bias(H, prob)
     top = float(np.linalg.eigvalsh(W)[-1])
     return float(prob.sigma ** 2 * np.sum(H * H) + top)
 
@@ -190,12 +198,7 @@ def exact_risk_on_ellipsoid(H: np.ndarray, prob: EstimationProblem) -> float:
 def worst_case_signal(H: np.ndarray, prob: EstimationProblem) -> np.ndarray:
     """Boundary signal maximizing the bias term on a K = 1 ellipsoid."""
     ell = prob.ell
-    if ell.K != 1 or ell.tset.variant != "unit_segment":
-        raise ValueError("needs a K = 1 ellipsoid")
-    M = prob.B - H.T @ prob.A
-    R = psd_sqrt(ell.S[0])
-    Rinv = np.linalg.inv(R)
-    W = Rinv @ (M.T @ M) @ Rinv
+    W, Rinv = _ellipsoid_bias(H, prob)
     vals, vecs = np.linalg.eigh(W)
     x = Rinv @ vecs[:, -1]
     g = float(x @ ell.S[0] @ x)

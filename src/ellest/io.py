@@ -67,18 +67,34 @@ def write_ellitope(path: str, ell: Ellitope, inline: bool = True) -> None:
         json.dump(d, fp, indent=1)
 
 
+def _inline_matrix(path: str, k: int, entry) -> np.ndarray:
+    """Inline S entry as a matrix; raise ValueError naming path and S[k]
+    unless it is a rectangular 2-D array of finite numbers."""
+    try:
+        M = np.array(entry, dtype=float)
+    except (TypeError, ValueError):
+        M = np.empty(0)
+    if M.ndim != 2 or not np.all(np.isfinite(M)):
+        raise ValueError(f"{path}: S[{k}] is not a rectangular array of finite numbers")
+    return M
+
+
 def read_ellitope(path: str) -> Ellitope:
     with open(path) as fp:
         d = json.load(fp)
-    if "S" not in d or "tset" not in d:
-        raise ValueError(f"{path}: descriptor needs 'S' and 'tset' entries")
+    if not (isinstance(d, dict) and isinstance(d.get("S"), list)
+            and isinstance(d.get("tset"), dict)):
+        raise ValueError(f"{path}: descriptor needs an 'S' list and a 'tset' object")
     S = []
     for entry in d["S"]:
         if isinstance(entry, str):
             p = entry if os.path.isabs(entry) else os.path.join(os.path.dirname(path), entry)
             S.append(read_matrix(p))
         else:
-            S.append(np.array(entry, dtype=float))
+            S.append(_inline_matrix(path, len(S), entry))
+        if S[-1].shape != S[0].shape:
+            raise ValueError(f"{path}: S[{len(S) - 1}] has shape {S[-1].shape}, "
+                             f"S[0] has shape {S[0].shape}")
     if not S:
         raise ValueError(f"{path}: descriptor lists no S blocks")
     # n and tset.K are redundant with S; hand-written files may omit them

@@ -161,7 +161,7 @@ def phi_gauss(Q: np.ndarray, A: np.ndarray, B: np.ndarray, sigma: float) -> floa
     M = sigma ** 2 * np.eye(m) + A @ Q @ A.T
     AQBt = A @ Q @ B.T
     sol = cho_solve(cho_factor(sym(M)), AQBt)
-    val = float(np.trace(B @ Q @ B.T) - AQBt.T.ravel() @ sol.ravel())
+    val = float(np.trace(B @ Q @ B.T) - np.sum(AQBt * sol))
     return max(val, 0.0)
 
 
@@ -236,19 +236,27 @@ def solve_bayesian_sdp(prob: EstimationProblem, *,
     return BayesianSolution(Q, t, opt_star, G, sol)
 
 
+def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope, tol_gap: float):
+    """max Tr(CQ) over Q >= 0 with Tr(QS_k) <= t_k, t in T, for symmetric C.
+    Returns (value, Q, t)."""
+    n = ell.n
+    b = Builder()
+    q = b.vars("Q", svec_len(n))
+    b.objective(q, -svec(C))
+    b.lmi(n).term_symmetric_block(q)
+    _add_q_in_script_q(b, ell, q)
+    prog = b.build()
+    sol = solve_or_raise(prog, tol_gap=tol_gap)
+    return -float(sol.pobj), smat(sol.var(prog, "Q"), n), sol.var(prog, "t").copy()
+
+
 def m_star(B: np.ndarray, ell: Ellitope, *, tol_gap: float = 1e-8) -> float:
     """sqrt(max Tr(BQB') over Q >= 0 with Tr(QS_k) <= t_k, t in T)."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if not np.any(B):
         return 0.0
-    b = Builder()
-    q = b.vars("Q", svec_len(ell.n))
-    b.objective(q, -svec(sym(B.T @ B)))
-    b.lmi(ell.n).term_symmetric_block(q)
-    _add_q_in_script_q(b, ell, q)
-    prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap)
-    return float(np.sqrt(max(-sol.pobj, 0.0)))
+    val, _, _ = _max_trace_over_covariances(sym(B.T @ B), ell, tol_gap)
+    return float(np.sqrt(max(val, 0.0)))
 
 
 def lower_bound_rho_family(prob: EstimationProblem, opt: float, mstar: float,

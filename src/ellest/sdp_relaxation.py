@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ellitope import Ellitope, add_support_epigraph
-from .linalg import psd_sqrt, smat, svec, sym
-from .lower_bound import _add_q_in_script_q
+from .linalg import psd_sqrt, sym
+from .lower_bound import _max_trace_over_covariances
 from .rng import stream
 from .solver import Builder, solve_or_raise
 
@@ -62,23 +62,13 @@ def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *,
     if np.max(np.abs(C - C.T)) > 1e-12 * (1.0 + np.max(np.abs(C))):
         warnings.warn("C is not symmetric; using its symmetric part")
     C = sym(C)
-    n = ell.n
-    b = Builder()
-    q = b.vars("Q", svec(np.eye(n)).shape[0])
-    b.objective(q, -svec(C))
-    b.lmi(n).term_symmetric_block(q)
-    _add_q_in_script_q(b, ell, q)
-    prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap)
-    opt = -float(sol.pobj)
-    Q = smat(sol.var(prog, "Q"), n)
-    t = sol.var(prog, "t").copy()
+    opt, Q, t = _max_trace_over_covariances(C, ell, tol_gap)
 
     bd = Builder()
     lam = bd.vars("lam", ell.K)
     bd.nonneg(lam)
     add_support_epigraph(bd, ell.tset, lam)
-    L = bd.lmi(n)
+    L = bd.lmi(ell.n)
     L.const(-C)
     for k in range(ell.K):
         L.term(lam[k], ell.S[k])

@@ -1,7 +1,11 @@
 """Shared generators for randomized test instances."""
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from ellest import Ellitope, TSet, EstimationProblem
 from ellest.rng import stream
@@ -39,6 +43,14 @@ def random_problem(rng: np.random.Generator, n: int, m: int, nu: int,
     B = rng.standard_normal((nu, n)) / np.sqrt(n)
     s = float(rng.uniform(0.05, 1.0)) if sigma is None else sigma
     return EstimationProblem(A=A, B=B, sigma=s, ell=random_ellitope(rng, n, K))
+
+
+def pytest_configure(config):
+    """Hypothesis writes its storage directory (.hypothesis/) into the working
+    directory while collecting; point it at a temporary directory instead."""
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 @pytest.fixture(autouse=True)

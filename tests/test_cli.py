@@ -360,3 +360,32 @@ def test_malformed_matrix_csv_exits_2(inst, capsys, conelp_calls, text, line, ar
     err = capsys.readouterr().err
     assert f"{bad}:{line}:" in err and "Traceback" not in err
     assert conelp_calls == []
+
+
+I3 = np.eye(3).tolist()
+
+
+@pytest.mark.parametrize("desc, needle", [
+    pytest.param({"S": [I3, [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]]}, "S[1]",
+                 id="ragged"),
+    pytest.param({"S": [I3, [[1.0, 0, 0], [0, float("nan"), 0], [0, 0, 1.0]]]}, "S[1]",
+                 id="nan"),
+    pytest.param({"S": [I3, [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]]]}, "S[1]", id="inf"),
+    pytest.param({"S": [I3, [["a", 0, 0], [0, 1, 0], [0, 0, 1]]]}, "S[1]", id="unparsable"),
+    pytest.param({"S": [I3, [1.0, 1.0, 1.0]]}, "S[1]", id="vector"),
+    pytest.param({"S": [I3, np.eye(2).tolist()]}, "S[1]", id="shape"),
+    pytest.param({"S": 5}, "descriptor needs", id="S-number"),
+    pytest.param({"S": "S.csv"}, "descriptor needs", id="S-string"),
+    pytest.param({"S": [I3], "tset": 5}, "descriptor needs", id="tset-number"),
+    pytest.param([I3], "descriptor needs", id="not-an-object"),
+])
+def test_malformed_descriptor_entry_exits_2(inst, capsys, conelp_calls, desc, needle):
+    if isinstance(desc, dict):
+        desc = {"tset": {"variant": "unit_box"}, **desc}
+    bad = inst["dir"] / "bad.json"
+    bad.write_text(json.dumps(desc))
+    rc = main(["estimate", inst["A"], inst["B"], str(bad), "--sigma", "0.5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {needle}" in err and "Traceback" not in err
+    assert conelp_calls == []

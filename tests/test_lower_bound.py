@@ -61,6 +61,21 @@ def test_phi_gauss_scalar():
     assert v == pytest.approx(0.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("m, n, nu", [(5, 4, 2), (2, 4, 3), (3, 3, 3)])
+def test_phi_gauss_matches_explicit_formula(m, n, nu):
+    """Non-square A and B: phi equals Tr(BQB') - Tr(BQA'(sigma^2 I + AQA')^-1 AQB')."""
+    rng = stream(59, m * 100 + n * 10 + nu)
+    A = rng.standard_normal((m, n))
+    B = rng.standard_normal((nu, n))
+    G = rng.standard_normal((n, n))
+    Q = G @ G.T / n
+    sigma = 0.7
+    M = sigma ** 2 * np.eye(m) + A @ Q @ A.T
+    ref = np.trace(B @ Q @ B.T) - np.trace(B @ Q @ A.T @ np.linalg.solve(M, A @ Q @ B.T))
+    assert ref > 0
+    assert phi_gauss(Q, A, B, sigma) == pytest.approx(ref, rel=1e-10)
+
+
 def test_bayes_duality_random_tsets():
     rng = stream(31, 0)
     Sp = np.stack([np.diag([1.0, 0.2, 0.0]), np.diag([0.0, 0.5, 2.0])])
