@@ -18,6 +18,8 @@ needs no set object: estimating Bx from Ax over x in P Y is estimating
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +35,11 @@ _VARIANTS = (SEGMENT, BOX, PBALL)
 
 # p values for which the homogenized cone of T has an exact conic encoding
 CONIC_P = (2.0, 4.0)
+
+
+def _is_int(v) -> bool:
+    """v is an integer (a bool is not)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -51,13 +58,14 @@ class TSet:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown TSet variant {self.variant!r}")
-        if self.K < 1:
-            raise ValueError("K must be positive")
+        if not _is_int(self.K) or self.K < 1:
+            raise ValueError(f"K must be a positive integer, got {self.K!r}")
         if self.variant == SEGMENT and self.K != 1:
             raise ValueError("unit segment has K = 1")
         if self.variant == PBALL:
-            if self.p is None or self.p < 2:
-                raise ValueError("pnorm_ball requires p >= 2")
+            if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
+                    or not math.isfinite(self.p) or self.p < 2):
+                raise ValueError(f"pnorm_ball requires a finite p >= 2, got {self.p!r}")
         elif self.p is not None:
             raise ValueError("p is only meaningful for pnorm_ball")
 
@@ -145,7 +153,7 @@ class TSet:
     def from_json_dict(cls, d: dict) -> "TSet":
         if "variant" not in d or "K" not in d:
             raise ValueError("tset descriptor needs 'variant' and 'K'")
-        return cls(d["variant"], int(d["K"]), d.get("p"))
+        return cls(d["variant"], d["K"], d.get("p"))
 
 
 def add_tset_cone(b: Builder, tset: TSet, t_idx: np.ndarray,

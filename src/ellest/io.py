@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .ellitope import Ellitope, TSet
+from .ellitope import Ellitope, TSet, _is_int
 
 FMT = "%.17g"
 
@@ -100,6 +100,11 @@ def read_ellitope(path: str) -> Ellitope:
     # n and tset.K are redundant with S; hand-written files may omit them
     td = dict(d["tset"])
     td.setdefault("K", len(S))
-    tset = TSet.from_json_dict(td)
-    n = int(d.get("n", np.atleast_2d(S[0]).shape[0]))
+    try:
+        tset = TSet.from_json_dict(td)
+    except ValueError as exc:
+        raise ValueError(f"{path}: tset: {exc}") from None
+    n = d.get("n", S[0].shape[0])
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"{path}: n must be a positive integer, got {n!r}")
     return Ellitope(n, np.array(S), tset)

@@ -36,21 +36,26 @@ def _svec_scale(n: int) -> np.ndarray:
     return scale
 
 
+@lru_cache(maxsize=None)
+def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the flat (row-major) index in an n x n matrix of each svec entry, and
+    # for every entry (i, j) its svec index and its svec scale
+    rows, cols = _tri_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(len(rows))
+    return rows * n + cols, pos, _svec_scale(n)[pos]
+
+
 def svec(M: np.ndarray) -> np.ndarray:
     """svec of a symmetric matrix, or of each matrix of a (k, n, n) stack."""
     n = M.shape[-1]
-    rows, cols = _tri_indices(n)
-    return M[..., rows, cols] * _svec_scale(n)
+    return M.reshape(M.shape[:-2] + (n * n,)).take(_svec_index(n)[0], axis=-1) * _svec_scale(n)
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of svec: (svec_len(n),) -> (n, n), or (k, svec_len(n)) -> (k, n, n)."""
-    rows, cols = _tri_indices(n)
-    vals = v / _svec_scale(n)
-    M = np.zeros(v.shape[:-1] + (n, n))
-    M[..., rows, cols] = vals
-    M[..., cols, rows] = vals
-    return M
+    _, pos, scale = _svec_index(n)
+    return v.take(pos, axis=-1) / scale
 
 
 def sym(M: np.ndarray) -> np.ndarray:

@@ -11,7 +11,15 @@ PSD blocks it acts by congruence, W v = svec(R^T mat(v) R).
 
 Scaling holds one list of per-block factors aligned with ConeDims.blocks(),
 and one loop over it, Scaling.apply, applies W, W', W^{-1} or W^{-T} to a
-cone vector or to the columns of a (cone_len, k) array; scale_G is W^{-T} G.
+cone vector or to the columns of a (cone_len, k) array.
+
+The IPM's Schur block G'(W'W)^{-1}G is never built from a dense W^{-T}G.
+ColumnFactors splits G once per solve into per-block pieces: orthant rows, SOC
+rows with their constant G_b'JG_b, and low-rank eigenvector terms of every
+PSD column. Scaling.scale_G assembles the block from them each iteration: a
+diagonal weighting, a rank-2 update, and the squared Gram of Y = R^{-1} Q
+summed over each column's terms (the low-rank data trick of DSDP, Benson,
+Ye, Zhang 2000).
 """
 
 from __future__ import annotations
@@ -22,8 +30,10 @@ import numpy as np
 
 from ..linalg import safe_cholesky, smat, svec, svec_len
 
-# Columns per scale_G slice: bounds the (chunk, n, n) PSD congruence temporaries.
+# Columns per batch of eigh calls in _psd_terms: bounds the (chunk, n, n) temporaries.
 PSD_CHUNK = 256
+# Eigenvalues of a PSD column below this fraction of its largest are dropped.
+RANK_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -263,10 +273,132 @@ class Scaling:
                 out[off:off + ln] = svec(U / denom)
         return out
 
-    def scale_G(self, G: np.ndarray) -> np.ndarray:
-        """Return W^{-T} G, the cone-side scaled constraint matrix, applied
-        PSD_CHUNK columns at a time."""
-        out = np.empty_like(G)
-        for lo in range(0, G.shape[1], PSD_CHUNK):
-            out[:, lo:lo + PSD_CHUNK] = self.apply(G[:, lo:lo + PSD_CHUNK], "winvt")
-        return out
+    def scale_G(self, fac: "ColumnFactors") -> np.ndarray:
+        """Return G'(W'W)^{-1}G = (W^{-T}G)'(W^{-T}G), the Schur block of the
+        KKT system, summed block by block from fac without forming W^{-T}G:
+          * orthant: G_b' diag(d)^{-2} G_b;
+          * SOC: (W_b'W_b)^{-1} = (2 u u' - J) / beta^2 with u = J wbar, so the
+            term is (2 v v' - C) / beta^2 with v = G_b'u;
+          * PSD: with P = Rinv'Rinv and y_r = Rinv q_r, entry (i, j) is
+            Tr(F_i P F_j P) = sum_{r in i, s in j} w_r w_s (y_r'y_s)^2
+            (Fujisawa, Kojima, Nakata 1997): the squared Gram of Y summed
+            over each column's terms.
+        """
+        H = np.zeros((fac.d, fac.d))
+        for (kind, *_), blk, fb in zip(self.dims.blocks(), self.blocks, fac.blocks):
+            if fb is None:
+                continue
+            span, *data = fb
+            if kind == "l":
+                Gd = data[0] / blk[:, None]
+                H[span, span] += Gd.T @ Gd
+            elif kind == "q":
+                beta, wbar = blk
+                Gb, C = data
+                v = wbar[0] * Gb[0] - wbar[1:] @ Gb[1:]
+                H[span, span] += (2.0 * np.outer(v, v) - C) / (beta * beta)
+            else:
+                Q, sgn, layers = data
+                Y = blk[1] @ Q
+                # a copy: numpy's syrk path for Y'Y fills the lower triangle
+                # with a strided copy, slower than gemm for thousands of terms
+                Z = Y.T @ Y.copy()
+                Z *= Z
+                Z *= sgn[:, None]
+                # sum the rows, then the columns (as rows of the transpose),
+                # of each column's terms
+                k = span.stop - span.start
+                for cols, terms in layers:
+                    Z[cols] += Z[terms]
+                Z = np.multiply(Z[:k].T, sgn[:, None], order="C")
+                for cols, terms in layers:
+                    Z[cols] += Z[terms]
+                H[span, span] += Z[:k]
+        return H
+
+
+@dataclass(frozen=True)
+class ColumnFactors:
+    """The columns of G per cone block, in the form Scaling.scale_G builds
+    G'(W'W)^{-1}G from; computed once per solve.
+
+    blocks follows dims.blocks(), with None for a block no column enters.
+    Each other entry starts with span, the slice of columns from the block's
+    first nonzero column to its last, and goes on with, for G_b = G[block, span]:
+      * orthant: G_b;
+      * SOC: G_b and C = G_b' J G_b with J = diag(1, -1, ..., -1);
+      * PSD: Q, sgn and layers from _psd_terms.
+    """
+
+    d: int
+    blocks: list
+
+    @classmethod
+    def of(cls, G: np.ndarray, dims: ConeDims) -> "ColumnFactors":
+        blocks = []
+        for kind, off, ln, n in dims.blocks():
+            Gb = G[off:off + ln]
+            cols = np.flatnonzero(np.any(Gb != 0, axis=0))
+            if not len(cols):
+                blocks.append(None)
+                continue
+            span = slice(cols[0], cols[-1] + 1)
+            Gb = Gb[:, span]
+            if kind == "l":
+                blocks.append((span, Gb))
+            elif kind == "q":
+                JG = Gb.copy()
+                JG[1:] *= -1.0
+                blocks.append((span, Gb, Gb.T @ JG))
+            else:
+                blocks.append((span, *_psd_terms(Gb, n)))
+        return cls(G.shape[1], blocks)
+
+
+def _psd_terms(Gb: np.ndarray, n: int):
+    """Low-rank terms of the columns of an LMI block: column i is svec of
+    F_i = sum_r w_r q_r q_r' over its eigenpairs, those under RANK_TOL of the
+    largest |w| dropped (a zero column keeps one zero term).
+
+    Returns Q, whose columns are sqrt|w_r| q_r, sgn = sign(w_r), and layers.
+    The terms are laid out in layers: layer t holds the t-th term of every
+    column of rank > t, so layer 0 is the columns themselves, in order, and
+    the terms of layer t >= 1 sit in the slice terms and add to columns cols
+    (a slice when contiguous). layers lists (cols, terms) for t >= 1.
+    """
+    chunks = []
+    for lo in range(0, Gb.shape[1], PSD_CHUNK):
+        F = smat(Gb[:, lo:lo + PSD_CHUNK].T, n)
+        # eigh on the rows a column touches, batched over columns touching
+        # equally many: most LMI columns are sparse
+        touched = np.any(F != 0, axis=2)
+        size = touched.sum(axis=1)
+        lam, V = np.zeros(F.shape[:2]), np.zeros(F.shape)
+        for m in np.unique(size[size > 0]):
+            i = np.flatnonzero(size == m)
+            rows = np.nonzero(touched[i])[1].reshape(len(i), m)
+            lam[i, :m], vecs = np.linalg.eigh(F[i[:, None, None], rows[:, :, None], rows[:, None, :]])
+            V[i[:, None, None], rows[:, :, None], np.arange(m)] = vecs
+        order = np.argsort(-np.abs(lam), axis=1)
+        lam = np.take_along_axis(lam, order, axis=1)
+        rank = np.maximum(np.sum(np.abs(lam) > RANK_TOL * np.abs(lam[:, :1]), axis=1), 1)
+        V = np.take_along_axis(V, order[:, None, :rank.max()], axis=2)
+        chunks.append((lo, rank, lam, V))
+    Qs, sgns, layers, off = [], [], [], 0
+    for t in range(max(rank.max() for _, rank, _, _ in chunks)):
+        cols, w, q = [], [], []
+        for lo, rank, lam, V in chunks:
+            i = np.flatnonzero(rank > t)
+            if len(i):
+                cols.append(lo + i)
+                w.append(lam[i, t])
+                q.append(V[i, :, t])
+        cols, w = np.concatenate(cols), np.concatenate(w)
+        Qs.append(np.concatenate(q).T * np.sqrt(np.abs(w)))
+        sgns.append(np.sign(w))
+        if t:
+            if cols[-1] - cols[0] + 1 == len(cols):
+                cols = slice(cols[0], cols[-1] + 1)
+            layers.append((cols, slice(off, off + len(w))))
+        off += len(w)
+    return np.hstack(Qs), np.concatenate(sgns), layers

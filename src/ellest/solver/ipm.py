@@ -16,7 +16,10 @@ certificate in the ConicSolution's x/y/z instead of a solution:
   * dual infeasible (primal unbounded direction): x with Ax = 0,
     Gx + s = 0 for some s in K, c'x = -1.
 
-Everything is dense; problem sizes in this package stay modest by design.
+Each iteration factors the KKT system through its Schur block
+G'(W'W)^{-1}G, assembled per cone block from factors of G's columns that are
+computed once per solve (cones.ColumnFactors, Scaling.scale_G): no dense
+W^{-T}G is formed. The reduced (d + p) saddle matrix is dense and LU-factored.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from .cones import ConeDims, Scaling, cone_margin, jordan_mul, max_step
+from .cones import ColumnFactors, ConeDims, Scaling, cone_margin, jordan_mul, max_step
 
 STEP_FRACTION = 0.99
 TOL_FEAS = 1e-8
@@ -61,22 +65,28 @@ class ConicSolution:
 
 
 class _KKT:
-    """Factor the scaled KKT saddle system once per iteration."""
+    """The KKT saddle system of one solve, factored once per iteration.
 
-    def __init__(self, G, A, scaling: Scaling):
-        self.G = G
+    The Schur block G'(W'W)^{-1}G comes from G's column factors. The solves
+    work in the scaled frame, W^{-T} first and W^{-1} on the difference, and
+    multiply by G in sparse form: G is mostly zeros in the programs of this
+    package."""
+
+    def __init__(self, G, A, dims: ConeDims):
+        self.G = scipy.sparse.csr_array(G)
+        self.Gt = scipy.sparse.csr_array(G.T)
         self.A = A
+        self.fac = ColumnFactors.of(G, dims)
+        self.d, self.p = G.shape[1], A.shape[0]
+
+    def factor(self, scaling: Scaling) -> None:
+        d, p = self.d, self.p
         self.scaling = scaling
-        self.Gs = scaling.scale_G(G)          # W^{-T} G
-        d = G.shape[1]
-        p = A.shape[0]
-        H = self.Gs.T @ self.Gs
         M = np.zeros((d + p, d + p))
-        M[:d, :d] = H
+        M[:d, :d] = scaling.scale_G(self.fac)
         if p:
-            M[:d, d:] = A.T
-            M[d:, :d] = A
-        self.d, self.p = d, p
+            M[:d, d:] = self.A.T
+            M[d:, :d] = self.A
         self._factor(M)
 
     def _factor(self, M):
@@ -103,10 +113,10 @@ class _KKT:
     def _solve_once(self, bx, by, bz):
         W = self.scaling
         bz_s = W.apply(bz, "winvt")
-        rhs = np.concatenate([bx + self.Gs.T @ bz_s, by])
+        rhs = np.concatenate([bx + self.Gt @ W.apply(bz_s, "winv"), by])
         sol = scipy.linalg.lu_solve(self.lu, rhs)
         u, v = sol[:self.d], sol[self.d:]
-        w = W.apply(self.Gs @ u - bz_s, "winv")
+        w = W.apply(W.apply(self.G @ u, "winvt") - bz_s, "winv")
         return u, v, w
 
     def solve3(self, bx, by, bz):
@@ -114,7 +124,7 @@ class _KKT:
         step of iterative refinement."""
         W = self.scaling
         u, v, w = self._solve_once(bx, by, bz)
-        r1 = bx - (self.A.T @ v + self.G.T @ w)
+        r1 = bx - (self.A.T @ v + self.Gt @ w)
         r2 = by - self.A @ u
         r3 = bz - (self.G @ u - W.apply(W.apply(w, "w"), "wt"))
         du, dv, dw = self._solve_once(r1, r2, r3)
@@ -152,7 +162,8 @@ def conelp(
     norm_c = max(1.0, np.linalg.norm(c))
 
     # Starting point: least-norm primal/dual estimates pushed into the cone.
-    kkt = _KKT(G, A, Scaling.identity(dims))
+    kkt = _KKT(G, A, dims)
+    kkt.factor(Scaling.identity(dims))
     x, _, w0 = kkt.solve3(np.zeros(d), b.copy(), h.copy())
     s = -w0
     m = cone_margin(dims, s)
@@ -229,19 +240,25 @@ def conelp(
 
         try:
             scaling = Scaling.compute(dims, s, z)
-            kkt = _KKT(G, A, scaling)
+            kkt.factor(scaling)
 
-            x1, y1, z1 = kkt.solve3(-c, b.copy(), h.copy())
+            lam = scaling.lam
+
+            def wt_lam_div(dst):
+                return scaling.apply(scaling.lam_div(dst), "wt")
+
+            # The predictor's KKT solve and the one for the tau direction
+            # (x1, y1, z1) go through the factorization as one batched call.
+            dst_aff = -jordan_mul(dims, lam, lam)
+            wt_aff = wt_lam_div(dst_aff)
+            X, Y, Z = kkt.solve3(np.column_stack([-c, -rx]), np.column_stack([b, -ry]),
+                                 np.column_stack([h, -rz - wt_aff]))
+            x1, y1, z1 = X[:, 0], Y[:, 0], Z[:, 0]
             den = c @ x1 + b @ y1 + h @ z1 - kappa / tau
             if not np.isfinite(den) or den >= -1e-300:
                 den = -max(1e-300, abs(den))
 
-            lam = scaling.lam
-
-            def newton(dst, dkt, eta):
-                wt_dst = scaling.apply(scaling.lam_div(dst), "wt")
-                bz2 = -eta * rz - wt_dst
-                x2, y2, z2 = kkt.solve3(-eta * rx, -eta * ry, bz2)
+            def newton(wt_dst, x2, y2, z2, dkt, eta):
                 dtau = (-eta * rt - dkt / tau - (c @ x2 + b @ y2 + h @ z2)) / den
                 dx = x2 + dtau * x1
                 dy = y2 + dtau * y1
@@ -251,8 +268,8 @@ def conelp(
                 return dx, dy, dz, ds, dtau, dkap
 
             # Predictor.
-            dst_aff = -jordan_mul(dims, lam, lam)
-            dx, dy, dz, ds, dtau, dkap = newton(dst_aff, -tau * kappa, 1.0)
+            dx, dy, dz, ds, dtau, dkap = newton(wt_aff, X[:, 1], Y[:, 1], Z[:, 1],
+                                                -tau * kappa, 1.0)
             alpha_aff = _step_length(dims, s, z, tau, kappa, ds, dz, dtau, dkap, cap=1.0)
             mu_aff = ((s + alpha_aff * ds) @ (z + alpha_aff * dz)
                       + (tau + alpha_aff * dtau) * (kappa + alpha_aff * dkap)) / (deg + 1)
@@ -262,7 +279,10 @@ def conelp(
             corr = jordan_mul(dims, scaling.apply(ds, "winvt"), scaling.apply(dz, "w"))
             dst = dst_aff - corr + sigma * mu * e
             dkt = -tau * kappa - dtau * dkap + sigma * mu
-            dx, dy, dz, ds, dtau, dkap = newton(dst, dkt, 1.0 - sigma)
+            eta = 1.0 - sigma
+            wt_dst = wt_lam_div(dst)
+            dx, dy, dz, ds, dtau, dkap = newton(
+                wt_dst, *kkt.solve3(-eta * rx, -eta * ry, -eta * rz - wt_dst), dkt, eta)
 
             alpha = STEP_FRACTION * _step_length(dims, s, z, tau, kappa, ds, dz, dtau, dkap,
                                                  cap=1.0 / STEP_FRACTION)

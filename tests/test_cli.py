@@ -378,6 +378,19 @@ I3 = np.eye(3).tolist()
     pytest.param({"S": "S.csv"}, "descriptor needs", id="S-string"),
     pytest.param({"S": [I3], "tset": 5}, "descriptor needs", id="tset-number"),
     pytest.param([I3], "descriptor needs", id="not-an-object"),
+    pytest.param({"S": [I3], "tset": {"variant": "pnorm_ball", "p": "x"}},
+                 "tset: pnorm_ball requires a finite p", id="p-string"),
+    pytest.param({"S": [I3], "tset": {"variant": "pnorm_ball", "p": float("nan")}},
+                 "tset: pnorm_ball requires a finite p", id="p-nan"),
+    pytest.param({"S": [I3], "tset": {"variant": "pnorm_ball", "p": float("inf")}},
+                 "tset: pnorm_ball requires a finite p", id="p-inf"),
+    pytest.param({"S": [I3], "tset": {"variant": "unit_box", "K": [1]}},
+                 "tset: K must be a positive integer", id="K-list"),
+    pytest.param({"S": [I3], "tset": {"variant": "unit_box", "K": 1.7}},
+                 "tset: K must be a positive integer", id="K-fraction"),
+    pytest.param({"S": [I3], "n": [3]}, "n must be a positive integer", id="n-list"),
+    pytest.param({"S": [I3], "n": 2.5}, "n must be a positive integer", id="n-fraction"),
+    pytest.param({"S": [I3], "n": "abc"}, "n must be a positive integer", id="n-string"),
 ])
 def test_malformed_descriptor_entry_exits_2(inst, capsys, conelp_calls, desc, needle):
     if isinstance(desc, dict):

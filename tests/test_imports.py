@@ -1,15 +1,18 @@
 """Static checks: every name a module of the package imports is used in it,
-and every private module-level name is referenced somewhere in the package.
+every private module-level name is referenced somewhere in the package, and
+every function the benchmark wraps exists.
 
 Package __init__ modules are exempt from the import check, since their
 imports are re-exports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import ellest
 
 PACKAGE = Path(ellest.__file__).parent
+PERFBENCH_WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -63,3 +66,29 @@ def test_no_unreferenced_private_names():
             for path, tree in trees.items()
             for line, name in _private_definitions(tree) if name not in referenced]
     assert not dead, "unreferenced private names:\n" + "\n".join(dead)
+
+
+def _perfbench_layers() -> tuple:
+    tree = ast.parse(PERFBENCH_WORKER.read_text(), filename=str(PERFBENCH_WORKER))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{PERFBENCH_WORKER} defines no LAYERS")
+
+
+def test_perfbench_layers_resolve():
+    # perfbench reads a layer whose function it cannot find as 0 seconds
+    layers = _perfbench_layers()
+    assert layers
+    missing = []
+    for modname, attr, _ in layers:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{modname}.{attr}")
+    assert not missing, "perfbench layers missing from ellest:\n" + "\n".join(missing)
+    # the KKT factor and solve spans wrap these two calls through ipm's scipy global
+    source = (PACKAGE / "solver" / "ipm.py").read_text()
+    assert "scipy.linalg.lu_factor(" in source and "scipy.linalg.lu_solve(" in source

@@ -8,8 +8,8 @@ from scipy.optimize import linprog
 from ellest.linalg import svec
 from ellest.rng import stream
 from ellest.solver import Builder, SolverError, solve, solve_or_raise
-from ellest.solver.cones import PSD_CHUNK, ConeDims, Scaling
-from ellest.solver.ipm import conelp
+from ellest.solver.cones import PSD_CHUNK, ColumnFactors, ConeDims, Scaling
+from ellest.solver.ipm import _KKT, conelp
 
 
 def test_lp_simplex_corner():
@@ -232,6 +232,80 @@ def test_scaling_algebra(dims):
     for mode in ("w", "wt", "winv", "winvt"):
         cols = np.column_stack([sc.apply(V[:, j], mode) for j in range(V.shape[1])])
         np.testing.assert_allclose(sc.apply(V, mode), cols, rtol=1e-13, atol=1e-13)
-    G = rng.standard_normal((dims.cone_len, PSD_CHUNK + 44))
-    cols = np.column_stack([sc.apply(G[:, j], "winvt") for j in range(G.shape[1])])
-    np.testing.assert_allclose(sc.scale_G(G), cols, rtol=1e-13, atol=1e-13)
+
+
+def _mixed_columns(rng, dims: ConeDims, d: int) -> np.ndarray:
+    """A (cone_len, d) G whose columns, block by block, cycle through: dense
+    (full rank on a PSD block), rank one, rank two, and absent from the
+    block; the last column is zero everywhere."""
+    G = np.zeros((dims.cone_len, d))
+    for b, (kind, off, ln, n) in enumerate(dims.blocks()):
+        for j in range(d - 1):
+            kind_j = (j + b) % 4
+            if kind_j == 3:
+                continue
+            if kind != "s":
+                G[off:off + ln, j] = rng.standard_normal(ln) * (kind_j + 1)
+            elif kind_j == 0:
+                X = rng.standard_normal((n, n))
+                G[off:off + ln, j] = svec(X + X.T)
+            else:
+                x, y = rng.standard_normal(n), rng.standard_normal(n)
+                F = np.outer(x, x) if kind_j == 1 else np.outer(x, y) + np.outer(y, x)
+                G[off:off + ln, j] = -svec(F)
+    return G
+
+
+GRAM_DIMS = [
+    pytest.param(ConeDims(l=6), 5, id="orthant"),
+    pytest.param(ConeDims(q=(1, 7)), 9, id="soc"),
+    pytest.param(ConeDims(s=(5,)), 9, id="psd"),
+    pytest.param(ConeDims(s=(3, 6)), 12, id="two-psd"),
+    pytest.param(ConeDims(l=3, q=(4, 6), s=(2, 4)), 11, id="mixed"),
+    pytest.param(ConeDims(l=2, q=(5,), s=(4,)), PSD_CHUNK + 44, id="wide"),
+]
+
+
+@pytest.mark.parametrize("dims, d", GRAM_DIMS)
+def test_factored_gram_matches_dense(dims, d):
+    # reference: W^{-T} G column by column, then its Gram
+    rng = stream(6, dims.cone_len + d)
+    G = _mixed_columns(rng, dims, d)
+    fac = ColumnFactors.of(G, dims)
+    for sc in (Scaling.identity(dims),
+               Scaling.compute(dims, _interior(rng, dims), _interior(rng, dims))):
+        Gs = np.column_stack([sc.apply(G[:, j], "winvt") for j in range(d)])
+        H_ref = Gs.T @ Gs
+        H = sc.scale_G(fac)
+        assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
+        assert not H[-1].any() and not H[:, -1].any()
+
+
+@pytest.mark.parametrize("dims", [
+    pytest.param(ConeDims(l=3, q=(4, 6), s=(2, 4)), id="mixed"),
+    pytest.param(ConeDims(q=(5,), s=(3, 4)), id="soc-two-psd"),
+])
+def test_kkt_solve_matches_dense_saddle(dims):
+    # [0 A' G'; A 0 0; G 0 -W'W] (u, v, w) = (bx, by, bz) with equality rows A,
+    # against a dense solve that holds W'W as a matrix
+    rng = stream(8, dims.cone_len)
+    d, p = 8, 2
+    G = _mixed_columns(rng, dims, d)
+    A = rng.standard_normal((p, d))
+    sc = Scaling.compute(dims, _interior(rng, dims), _interior(rng, dims))
+    m = dims.cone_len
+    WtW = sc.apply(sc.apply(np.eye(m), "w"), "wt")
+    K = np.block([[np.zeros((d, d)), A.T, G.T],
+                  [A, np.zeros((p, p)), np.zeros((p, m))],
+                  [G, np.zeros((m, p)), -WtW]])
+    bx, by, bz = rng.standard_normal(d), rng.standard_normal(p), rng.standard_normal(m)
+    ref = np.linalg.solve(K, np.concatenate([bx, by, bz]))
+    kkt = _KKT(G, A, dims)
+    kkt.factor(sc)
+    got = np.concatenate(kkt.solve3(bx, by, bz))
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+    # a batched right-hand side solves column by column
+    B = [rng.standard_normal((k, 2)) for k in (d, p, m)]
+    cols = [np.concatenate(kkt.solve3(B[0][:, j], B[1][:, j], B[2][:, j])) for j in range(2)]
+    np.testing.assert_allclose(np.concatenate(kkt.solve3(*B)), np.column_stack(cols),
+                               rtol=1e-12, atol=1e-12)
