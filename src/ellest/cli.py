@@ -4,8 +4,8 @@ Matrices are dense CSV (one row per line, "%.17g"), signal sets travel as a
 JSON descriptor; every subcommand prints a JSON report to stdout (or --report
 PATH). ESTIMATOR_SOLVER_TOL overrides the interior-point duality-gap target,
 and --dump-program PREFIX writes every conic program solved along the way to
-PREFIX.<k>.json, in the (c, G, h, dims, A, b) form the solver receives, for
-external cross-checking.
+PREFIX.<k>.json, in the (c, G, h, dims) form the solver receives, for
+external cross-checking. Bad input exits 2 with a message.
 """
 
 from __future__ import annotations
@@ -101,6 +101,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
+    if args.delta is not None and not 0 < args.delta <= 0.2:
+        raise ValueError(f"--delta must lie in (0, 0.2], got {args.delta}")
+    grid = _floats(args.rho_grid) if args.rho_grid else None
+    if grid is not None and not (grid and all(0 < r <= 1 for r in grid)):
+        raise ValueError(f"--rho-grid values must lie in (0, 1], got {args.rho_grid!r}")
     A, B = io.read_matrix(args.A), io.read_matrix(args.B)
     ell = io.read_ellitope(args.ellitope)
     tol = _solver_tol()
@@ -108,7 +113,6 @@ def cmd_lower_bound(args) -> int:
     est = build_linear_estimate(prob, tol_gap=tol)
     ms = m_star(B, ell, tol_gap=tol)
     if args.method == RHO_FAMILY:
-        grid = np.array(_floats(args.rho_grid)) if args.rho_grid else None
         rep = lower_bound_rho_family(prob, est.opt, ms, ell.K, rho_grid=grid)
     else:
         deltas = (args.delta,) if args.delta is not None else DEFAULT_DELTA_GRID

@@ -42,6 +42,14 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_finite_real(v) -> bool:
+    """v is a real number (a bool is not) that is finite as a float."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class TSet:
     """One of the admissible parameter sets T.
@@ -63,8 +71,7 @@ class TSet:
         if self.variant == SEGMENT and self.K != 1:
             raise ValueError("unit segment has K = 1")
         if self.variant == PBALL:
-            if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
-                    or not math.isfinite(self.p) or self.p < 2):
+            if not _is_finite_real(self.p) or self.p < 2:
                 raise ValueError(f"pnorm_ball requires a finite p >= 2, got {self.p!r}")
         elif self.p is not None:
             raise ValueError("p is only meaningful for pnorm_ball")

@@ -147,8 +147,9 @@ def apply(est: LinearEstimate, omega: np.ndarray) -> np.ndarray:
 
 
 def empirical_risk(est: LinearEstimate, prob: EstimationProblem, x: np.ndarray,
-                   N: int, seed: int, batch: int = 100_000):
-    """Monte-Carlo estimate of E ||H'(Ax + sigma xi) - Bx||^2.
+                   N: int, seed: int):
+    """Monte-Carlo estimate of E ||H'(Ax + sigma xi) - Bx||^2, drawn in
+    batches of at most 100,000 noise vectors.
 
     Returns (mean, standard error); deterministic under the seed.
     """
@@ -163,7 +164,7 @@ def empirical_risk(est: LinearEstimate, prob: EstimationProblem, x: np.ndarray,
     total_sq = 0.0
     done = 0
     while done < N:
-        nb = min(batch, N - done)
+        nb = min(100_000, N - done)
         Z = rng.standard_normal((nb, prob.m))
         errs = bias[None, :] + prob.sigma * (Z @ est.H)
         vals = np.einsum("ij,ij->i", errs, errs)

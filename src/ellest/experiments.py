@@ -89,6 +89,9 @@ class ScenarioConfig:
         object.__setattr__(self, "refine_deltas", tuple(float(d) for d in self.refine_deltas))
         if not self.sigma_grid or not all(0 < s < np.inf for s in self.sigma_grid):
             raise ValueError("sigma_grid must be nonempty, finite and positive")
+        if not self.refine_deltas or not all(0 < d <= 0.2 for d in self.refine_deltas):
+            raise ValueError(f"refine_deltas must be nonempty and lie in (0, 0.2], "
+                             f"got {self.refine_deltas}")
         if not 0 < self.trace_cap < np.inf:
             raise ValueError(f"trace_cap must be a finite positive number, got {self.trace_cap}")
         if self.scenario != PENDULUM:
@@ -112,11 +115,12 @@ class ExperimentRecord:
     error: str | None = None
     extras: dict = field(default_factory=dict)
 
-    def sandwich_ok(self, tol: float = 1e-7) -> bool:
-        """Every recorded lower bound stays below the upper bound."""
+    def sandwich_ok(self) -> bool:
+        """Every recorded lower bound stays below the upper bound (up to a
+        relative 1e-7)."""
         if self.error is not None or not np.isfinite(self.opt_upper):
             return False
-        slack = tol * (1.0 + abs(self.opt_upper))
+        slack = 1e-7 * (1.0 + abs(self.opt_upper))
         return all(lb <= self.opt_upper + slack for lb in self.lb_by_method.values())
 
 

@@ -51,18 +51,10 @@ def read_matrix(path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def write_ellitope(path: str, ell: Ellitope, inline: bool = True) -> None:
-    d = {"n": ell.n, "K": ell.K, "tset": ell.tset.to_json_dict()}
-    if inline:
-        d["S"] = [Sk.tolist() for Sk in ell.S]
-    else:
-        base = os.path.splitext(path)[0]
-        names = []
-        for k in range(ell.K):
-            mp = f"{base}_S{k}.csv"
-            write_matrix(mp, ell.S[k])
-            names.append(os.path.basename(mp))
-        d["S"] = names
+def write_ellitope(path: str, ell: Ellitope) -> None:
+    """Write a descriptor with every S entry inline."""
+    d = {"n": ell.n, "K": ell.K, "tset": ell.tset.to_json_dict(),
+         "S": [Sk.tolist() for Sk in ell.S]}
     with open(path, "w") as fp:
         json.dump(d, fp, indent=1)
 
@@ -72,7 +64,7 @@ def _inline_matrix(path: str, k: int, entry) -> np.ndarray:
     unless it is a rectangular 2-D array of finite numbers."""
     try:
         M = np.array(entry, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         M = np.empty(0)
     if M.ndim != 2 or not np.all(np.isfinite(M)):
         raise ValueError(f"{path}: S[{k}] is not a rectangular array of finite numbers")

@@ -62,19 +62,19 @@ def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def psd_tolerance(M: np.ndarray, scale: float = 1e-9) -> float:
+def psd_tolerance(M: np.ndarray) -> float:
     """Default PSD slack: relative in the trace, per the library convention."""
-    return scale * (1.0 + abs(float(np.trace(M))))
+    return 1e-9 * (1.0 + abs(float(np.trace(M))))
 
 
 def min_eig(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(sym(M)).min())
 
 
-def psd_sqrt(M: np.ndarray, clip: float = 0.0) -> np.ndarray:
-    """Symmetric square root with negative eigenvalues clipped at `clip`."""
+def psd_sqrt(M: np.ndarray) -> np.ndarray:
+    """Symmetric square root with negative eigenvalues clipped at 0."""
     w, V = np.linalg.eigh(sym(M))
-    w = np.clip(w, clip, None)
+    w = np.clip(w, 0.0, None)
     return (V * np.sqrt(w)) @ V.T
 
 

@@ -9,6 +9,7 @@ LMI with a single multiplier mu, at the price of one extra p x p block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .ellitope import Ellitope
 from .estimator import add_design_lmi, add_neg_product
 from .linalg import sym
 from .rng import stream
-from .s_risk import _add_srisk_objective
+from .s_risk import _add_srisk_objective, psd_weight
 from .solver import Builder, solve_or_raise
 
 
@@ -45,8 +46,8 @@ class UncertaintyModel:
             raise ValueError(f"E must have {m + nu} columns")
         if F.shape[1] != n:
             raise ValueError(f"F must have {n} columns")
-        if self.r < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"radius must be a finite nonnegative number, got {self.r}")
         for name, val in (("A_star", A), ("B_star", B), ("E", E), ("F", F)):
             object.__setattr__(self, name, val)
 
@@ -89,10 +90,14 @@ def build_robust_estimate(um: UncertaintyModel, sigma: float, S: np.ndarray,
     With a vanishing uncertainty channel (E = 0 or F = 0) the border is empty
     and there is no mu: this is the nominal S-risk design program, and mu = 0
     is returned."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be a finite positive number, got {sigma}")
     A, B = um.A_star, um.B_star
     m, n, nu = um.m, um.n, um.nu
+    if ell.n != n:
+        raise ValueError(f"A and B must have n = {ell.n} columns, got {n}")
     p = um.E.shape[0] if np.any(um.E) and np.any(um.F) else 0
-    S = sym(np.asarray(S, dtype=float))
+    S = psd_weight(S, n)
     b = Builder()
     tau, h, lam = _add_srisk_objective(b, sigma, m, nu, ell.tset)
     extra_00 = [(tau[0], S)]
@@ -135,10 +140,9 @@ def design_lmi_min_eig(H: np.ndarray, lam: np.ndarray, tau: float,
 
 def verify_robust_feasibility(H: np.ndarray, lam: np.ndarray, tau: float,
                               um: UncertaintyModel, S: np.ndarray,
-                              ell: Ellitope, N: int = 1000, seed: int = 0,
-                              margin: float = 1e-7) -> float:
+                              ell: Ellitope, N: int = 1000, seed: int = 0) -> float:
     """Fraction of N sampled perturbations ||Delta|| <= r at which the design
-    LMI stays positive semidefinite (eigenvalue >= -margin). Delta is a
+    LMI stays positive semidefinite (eigenvalue >= -1e-7). Delta is a
     Gaussian matrix rescaled to spectral norm u*r with u uniform, except the
     first draw which sits on the boundary u = 1 where feasibility binds."""
     if N < 1:
@@ -156,6 +160,6 @@ def verify_robust_feasibility(H: np.ndarray, lam: np.ndarray, tau: float,
             u = 1.0 if i == 0 else rng.uniform()
             Delta = G * (u * um.r / nrm) if nrm > 0 else np.zeros((p, q))
         Ap, Bp = um.perturbed(Delta)
-        if design_lmi_min_eig(H, lam, tau, Ap, Bp, S, ell) >= -margin:
+        if design_lmi_min_eig(H, lam, tau, Ap, Bp, S, ell) >= -1e-7:
             good += 1
     return good / N

@@ -37,6 +37,18 @@ from .solver import Builder, ConicSolution, solve_or_raise
 SRISK_RHO_FAMILY = "srisk_rho_family"
 
 
+def psd_weight(S: np.ndarray, n: int) -> np.ndarray:
+    """The S-risk weight S as a symmetric n x n matrix; ValueError naming S
+    unless it has that shape and is positive semidefinite."""
+    S = np.asarray(S, dtype=float)
+    if S.shape != (n, n):
+        raise ValueError(f"S must be {n}x{n}, got shape {S.shape}")
+    S = sym(S)
+    if min_eig(S) < -psd_tolerance(S):
+        raise ValueError("S must be positive semidefinite")
+    return S
+
+
 @dataclass(frozen=True)
 class SRiskProblem:
     """An estimation problem plus the regularity-scale matrix S >= 0."""
@@ -45,13 +57,7 @@ class SRiskProblem:
     S: np.ndarray
 
     def __post_init__(self):
-        S = sym(np.asarray(self.S, dtype=float))
-        n = self.prob.ell.n
-        if S.shape != (n, n):
-            raise ValueError(f"S must be {n}x{n}")
-        if min_eig(S) < -psd_tolerance(S):
-            raise ValueError("S must be positive semidefinite")
-        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "S", psd_weight(self.S, self.prob.ell.n))
 
 
 @dataclass(frozen=True)
@@ -130,17 +136,15 @@ def _dual_srisk_solve(A: np.ndarray, B: np.ndarray, sigma: float, S: np.ndarray,
     return -float(sol.pobj), W, s_val, sol
 
 
-def srisk_lower_bound(sp: SRiskProblem, *, tau: float | None = None,
-                      rho_grid=None, tol_gap: float = 1e-8,
-                      tol_dual: float = 1e-5) -> LowerBoundReport:
+def srisk_lower_bound(sp: SRiskProblem, *, tau: float | None = None) -> LowerBoundReport:
     """Lower bound on the minimax S-risk via the homogenized dual and the
-    contracted-Gaussian-prior argument with Q_rho = rho W / s."""
+    contracted-Gaussian-prior argument with Q_rho = rho W / s, scanned over
+    DEFAULT_RHO_GRID. The dual value must match tau to a relative 1e-5."""
     prob = sp.prob
     if tau is None:
-        tau = build_srisk_estimate(sp, tol_gap=tol_gap).tau
-    opt_star, W, s_val, _ = _dual_srisk_solve(prob.A, prob.B, prob.sigma, sp.S,
-                                              prob.ell, tol_gap=tol_gap)
-    if abs(opt_star - tau) > tol_dual * (1.0 + abs(tau)):
+        tau = build_srisk_estimate(sp).tau
+    opt_star, W, s_val, _ = _dual_srisk_solve(prob.A, prob.B, prob.sigma, sp.S, prob.ell)
+    if abs(opt_star - tau) > 1e-5 * (1.0 + abs(tau)):
         raise AssertionError(
             f"dual value {opt_star} disagrees with design value {tau}")
     if np.any(prob.B) and s_val < 1e-8:
@@ -148,8 +152,7 @@ def srisk_lower_bound(sp: SRiskProblem, *, tau: float | None = None,
     phi_star = opt_star / s_val
     tr_qs = max(float(np.sum(W * sp.S)), 0.0) / s_val
     mstar = m_star(prob.B, prob.ell)
-    best_val, best_rho, best_delta = _rho_scan(phi_star, mstar, prob.ell.K,
-                                               tr_qs, rho_grid)
+    best_val, best_rho, best_delta = _rho_scan(phi_star, mstar, prob.ell.K, tr_qs)
     lb = math.sqrt(max(best_val, 0.0))
     bound = math.sqrt(max(tau, 0.0))
     factor = bound / lb if lb > 0 else math.inf
@@ -160,21 +163,20 @@ def srisk_lower_bound(sp: SRiskProblem, *, tau: float | None = None,
 
 
 def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
-                         S: np.ndarray, *, tol_gap: float = 1e-8,
-                         tol_cert: float = 1e-6) -> SRiskEstimate:
+                         S: np.ndarray, *, tol_gap: float = 1e-8) -> SRiskEstimate:
     """Minimax-optimal estimate of Bx from Ax + sigma*xi under the S-risk
     with no signal-set restriction. Optimality (among all estimates, not
     just linear ones) is certified by solving the dual program and checking
-    that the values agree."""
+    that the values agree to a relative 1e-6."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if not np.any(B):
         raise ValueError("B must be nonzero")
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be a finite positive number, got {sigma}")
-    S = sym(np.asarray(S, dtype=float))
     m, n = A.shape
     nu = B.shape[0]
+    S = psd_weight(S, n)
     b = Builder()
     tau, h, lam = _add_srisk_objective(b, sigma, m, nu, None)
     add_design_lmi(b.lmi(n + nu), A, B, np.zeros((0, n, n)), lam, h,
@@ -184,7 +186,7 @@ def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
     tau_val = float(sol.var(prog, "tau")[0])
     H = sol.var(prog, "H").reshape(m, nu)
     dual_val, _, _, _ = _dual_srisk_solve(A, B, sigma, S, None, tol_gap=tol_gap)
-    if abs(dual_val - tau_val) > tol_cert * (1.0 + abs(tau_val)):
+    if abs(dual_val - tau_val) > 1e-6 * (1.0 + abs(tau_val)):
         raise AssertionError(
             f"whole-space certificate failed: dual {dual_val} vs tau {tau_val}")
     return SRiskEstimate(H, np.zeros(0), tau_val,
@@ -219,7 +221,7 @@ def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
     b.objective(tau, [1.0])
     L = b.lmi(n + nu)
     add_design_lmi(L, A, B, np.zeros((0, n, n)), np.zeros(0, dtype=int), h)
-    L.term_symmetric_block(t_idx, offset=0)
+    L.term_symmetric_block(t_idx)
     Lt = b.lmi(n)
     Lt.term_symmetric_block(t_idx)
     add_frobenius_epigraph(b, h, u[0])

@@ -52,13 +52,14 @@ def solve_and_round(C: np.ndarray, ell: Ellitope, *, seed: int = 0,
                             details={"factor_bound": factor_bound(ell.K)})
 
 
-def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *,
-                        tol_gap: float = 1e-8, tol_dual: float = 1e-6):
+def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *, tol_gap: float = 1e-8):
     """Upper bound max Tr(CQ) over Q >= 0, Tr(QS_k) <= t_k, t in T.
 
-    Cross-checked against the dual min phi_T(lam) s.t. sum lam_k S_k >= C.
-    Returns (opt, Q_star, t_star)."""
+    Cross-checked against the dual min phi_T(lam) s.t. sum lam_k S_k >= C,
+    whose value must agree to a relative 1e-6. Returns (opt, Q_star, t_star)."""
     C = np.asarray(C, dtype=float)
+    if C.shape != (ell.n, ell.n):
+        raise ValueError(f"C must be {ell.n}x{ell.n}, got shape {C.shape}")
     if np.max(np.abs(C - C.T)) > 1e-12 * (1.0 + np.max(np.abs(C))):
         warnings.warn("C is not symmetric; using its symmetric part")
     C = sym(C)
@@ -75,7 +76,7 @@ def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *,
     dprog = bd.build()
     dsol = solve_or_raise(dprog, tol_gap=tol_gap)
     dval = float(dsol.pobj)
-    if abs(dval - opt) > tol_dual * (1.0 + abs(opt)):
+    if abs(dval - opt) > 1e-6 * (1.0 + abs(opt)):
         raise AssertionError(
             f"relaxation duality gap: primal {opt} vs dual {dval}")
     return opt, Q, t

@@ -5,14 +5,14 @@ the affine map F0 + F x of one cone, with F held sparse as (row, var, value)
 triplets:
   * "l"  nonnegative rows    rhs - a'x >= 0 (inequalities), x_i >= 0 (signs),
   * "q"  second-order cone   F0 + F x in SOC,
-  * "s"  LMI                 F0 + sum_i x_i F_i PSD, rows in svec form,
-and the equalities A x = b held the same way as one "z" (zero-cone) block
-b - A x = 0. Quadratic objective terms never appear here: callers model them
+  * "s"  LMI                 F0 + sum_i x_i F_i PSD, rows in svec form.
+There are no equality rows: every program of this package is in inequality
+form. Quadratic objective terms never appear here either: callers model them
 with epigraph variables (SOC rows or Schur-complement LMIs).
 
 lower() is the single place that densifies: it stacks the blocks into the
-engine form (c, G, h, dims, A, b) of ipm.conelp with G = -F, h = F0, and
-solve() returns the engine's ConicSolution as it is.
+engine form (c, G, h, dims) of ipm.conelp with G = -F, h = F0, and solve()
+returns the engine's ConicSolution as it is.
 """
 
 from __future__ import annotations
@@ -45,33 +45,25 @@ class ConeBlock:
     F0: np.ndarray
 
 
-def _stack(blocks: list[ConeBlock], d: int):
-    """(-F, F0) of the (nonempty list of) blocks stacked in order: the
-    engine's (G, h) or (A, b)."""
-    offs = np.cumsum([0] + [len(blk.F0) for blk in blocks])
-    G = np.zeros((offs[-1], d))
-    np.add.at(G, (np.concatenate([blk.rows + off for blk, off in zip(blocks, offs)]),
-                  np.concatenate([blk.cols for blk in blocks])),
-              -np.concatenate([blk.vals for blk in blocks]))
-    return G, np.concatenate([blk.F0 for blk in blocks])
-
-
 @dataclass
 class ConicProgram:
     num_vars: int
     c: np.ndarray                                  # minimize c'x
     blocks: list[ConeBlock]                        # cone order: l, then q, then s
-    eq: ConeBlock                                  # kind "z": b - A x = 0
     var_table: dict[str, tuple[int, int]]
 
     def lower(self):
-        """The engine form (c, G, h, dims, A, b); A, b are None without equalities."""
-        G, h = _stack(self.blocks, self.num_vars)
-        dims = ConeDims(l=sum(blk.dim for blk in self.blocks if blk.kind == "l"),
-                        q=tuple(blk.dim for blk in self.blocks if blk.kind == "q"),
-                        s=tuple(blk.dim for blk in self.blocks if blk.kind == "s"))
-        A, b = _stack([self.eq], self.num_vars) if self.eq.dim else (None, None)
-        return self.c, G, h, dims, A, b
+        """The engine form (c, G, h, dims): the blocks' (-F, F0) stacked in order."""
+        blocks = self.blocks
+        offs = np.cumsum([0] + [len(blk.F0) for blk in blocks])
+        G = np.zeros((offs[-1], self.num_vars))
+        np.add.at(G, (np.concatenate([blk.rows + off for blk, off in zip(blocks, offs)]),
+                      np.concatenate([blk.cols for blk in blocks])),
+                  -np.concatenate([blk.vals for blk in blocks]))
+        dims = ConeDims(l=sum(blk.dim for blk in blocks if blk.kind == "l"),
+                        q=tuple(blk.dim for blk in blocks if blk.kind == "q"),
+                        s=tuple(blk.dim for blk in blocks if blk.kind == "s"))
+        return self.c, G, np.concatenate([blk.F0 for blk in blocks]), dims
 
 
 # debug hook: when set via set_program_dump, every program passed to solve()
@@ -85,11 +77,10 @@ def set_program_dump(prefix: str | None) -> None:
         _dump_state.extend([str(prefix), 0])
 
 
-def _dump_lowered(path: str, prog: ConicProgram, c, G, h, dims, A, b) -> None:
+def _dump_lowered(path: str, prog: ConicProgram, c, G, h, dims) -> None:
     with open(path, "w") as fp:
         json.dump({"num_vars": prog.num_vars, "c": c.tolist(), "G": G.tolist(),
                    "h": h.tolist(), "dims": asdict(dims),
-                   "A": None if A is None else A.tolist(), "b": None if b is None else b.tolist(),
                    "var_table": prog.var_table}, fp)
 
 
@@ -131,8 +122,7 @@ class Builder:
         self._table: dict[str, tuple[int, int]] = {}
         self._obj: list[tuple[np.ndarray, np.ndarray]] = []
         self._sign: list[np.ndarray] = []
-        self._ineq = _Rows("l")
-        self._eq = _Rows("z")
+        self._ineq = _Rows()
         self._socs: list[_SocHandle] = []
         self._lmis: list[_LMIHandle] = []
 
@@ -154,10 +144,6 @@ class Builder:
         """a'x <= rhs."""
         self._ineq.add(cols, vals, rhs)
 
-    def eq(self, cols, vals, rhs: float) -> None:
-        """a'x = rhs."""
-        self._eq.add(cols, vals, rhs)
-
     def soc(self, dim: int) -> "_SocHandle":
         self._socs.append(_SocHandle(dim))
         return self._socs[-1]
@@ -173,7 +159,7 @@ class Builder:
         sv = np.unique(np.concatenate([np.zeros(0, dtype=int)] + self._sign))
         sign = ConeBlock("l", len(sv), np.arange(len(sv)), sv, np.ones(len(sv)), np.zeros(len(sv)))
         blocks = [self._ineq.freeze(), sign] + [hnd.freeze() for hnd in self._socs + self._lmis]
-        return ConicProgram(self._d, c, blocks, self._eq.freeze(), dict(self._table))
+        return ConicProgram(self._d, c, blocks, dict(self._table))
 
 
 class _TripletBlock:
@@ -198,11 +184,13 @@ class _TripletBlock:
 
 
 class _Rows(_TripletBlock):
-    """Scalar rows rhs - a'x, each >= 0 (kind "l") or = 0 (kind "z")."""
+    """Scalar rows rhs - a'x, each >= 0."""
 
-    def __init__(self, kind: str):
+    kind = "l"
+
+    def __init__(self):
         super().__init__()
-        self.kind, self.dim = kind, 0
+        self.dim = 0
         self._rhs: list[float] = []
 
     def add(self, cols, vals, rhs: float) -> None:
@@ -262,17 +250,14 @@ class _LMIHandle(_TripletBlock):
         rows, cc = np.nonzero(M)
         self.set_triplets(rows, np.asarray(cols, dtype=int)[cc], M[rows, cc])
 
-    def term_symmetric_block(self, cols, offset: int = 0,
-                             scale: float = 1.0) -> None:
-        """Tie scale times a symmetric matrix variable (given by its
-        svec-ordered flat variable indices cols) to the diagonal sub-block
-        starting at offset."""
+    def term_symmetric_block(self, cols) -> None:
+        """Add a symmetric matrix variable (given by its svec-ordered flat
+        variable indices cols) to the leading diagonal sub-block."""
         s = int(round((np.sqrt(8 * len(cols) + 1) - 1) / 2))
         if s * (s + 1) // 2 != len(cols):
             raise ValueError("cols length is not a triangular number")
         ai, bi = _tri_indices(s)
-        ro, co = ai + offset, bi + offset
-        self.set_triplets(co * (co + 1) // 2 + ro, cols, np.full(len(cols), scale))
+        self.set_triplets(bi * (bi + 1) // 2 + ai, cols, np.ones(len(cols)))
 
     def term_entries(self, mat_i, mat_j, cols, vals) -> None:
         """Bulk insert: coefficient vals[k] at symmetric entry (mat_i[k], mat_j[k])

@@ -1,11 +1,16 @@
 """Command line interface: every subcommand end to end on small instances,
 JSON report structure, output files, and error exits."""
 
+import contextlib
+import io as io_lib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellest import Ellitope, io
 from ellest.cli import main
@@ -13,7 +18,8 @@ from ellest.cli import main
 
 @pytest.fixture
 def inst(tmp_path):
-    """Small scalar-friendly instance on disk: A, B, ellitope, S."""
+    """Small scalar-friendly instance on disk: A, B, ellitope, S, and the
+    robust command's perturbation factors E, F."""
     rng = np.random.default_rng(81)
     n, m, nu = 3, 3, 2
     A = rng.normal(size=(m, n))
@@ -25,12 +31,16 @@ def inst(tmp_path):
         "B": str(tmp_path / "B.csv"),
         "ell": str(tmp_path / "ell.json"),
         "S": str(tmp_path / "S.csv"),
+        "E": str(tmp_path / "E.csv"),
+        "F": str(tmp_path / "F.csv"),
         "dir": tmp_path,
     }
     io.write_matrix(paths["A"], A)
     io.write_matrix(paths["B"], B)
     io.write_ellitope(paths["ell"], ell)
     io.write_matrix(paths["S"], S)
+    io.write_matrix(paths["E"], 0.2 * np.ones((2, m + nu)))
+    io.write_matrix(paths["F"], 0.2 * np.ones((2, n)))
     return paths
 
 
@@ -266,10 +276,7 @@ def test_sdprelax_budget_below_one_exits_2(inst, capsys, conelp_calls, budget):
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_robust_samples_below_one_exits_2(inst, capsys, conelp_calls, samples):
-    pe, pf = str(inst["dir"] / "E.csv"), str(inst["dir"] / "F.csv")
-    io.write_matrix(pe, 0.2 * np.ones((2, 5)))
-    io.write_matrix(pf, 0.2 * np.ones((2, 3)))
-    rc = main(["robust", inst["A"], inst["B"], inst["ell"], pe, pf,
+    rc = main(["robust", inst["A"], inst["B"], inst["ell"], inst["E"], inst["F"],
                "--sigma", "0.5", "--radius", "0.3", "--samples", samples,
                "--out-h", str(inst["dir"] / "Hr.csv")])
     assert rc == 2
@@ -288,11 +295,11 @@ def test_dump_program_round_trip(inst):
                "--sigma", "0.5", "--out-h", out_h, "--report", rpt])
     assert rc == 0
     dump = json.loads((inst["dir"] / "rt.1.json").read_text())
-    c, G, h, A, b = (None if dump[k] is None else np.array(dump[k], dtype=float)
-                     for k in ("c", "G", "h", "A", "b"))
+    assert set(dump) == {"num_vars", "c", "G", "h", "dims", "var_table"}
+    c, G, h = (np.array(dump[k], dtype=float) for k in ("c", "G", "h"))
     dims = ConeDims(l=dump["dims"]["l"], q=tuple(dump["dims"]["q"]),
                     s=tuple(dump["dims"]["s"]))
-    res = conelp(c, G, h, dims, A, b)
+    res = conelp(c, G, h, dims)
     assert res.status == "optimal"
     assert res.x.shape == (dump["num_vars"],)
     assert res.pobj == pytest.approx(read_report(rpt)["opt"], rel=1e-9)
@@ -310,6 +317,9 @@ def test_unsupported_pnorm_ball_exits_2(inst, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "p=3" in err and "Traceback" not in err
+
+
+ROBUST = ["robust", "{A}", "{B}", "{ell}", "{E}", "{F}"]
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -332,11 +342,72 @@ def test_unsupported_pnorm_ball_exits_2(inst, capsys):
                                "--trace-cap", "nan"], id="srisk-trace-cap-nan"),
     pytest.param("trace_cap", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--optimize-S",
                                "--trace-cap", "inf"], id="srisk-trace-cap-inf"),
+    pytest.param("radius", ROBUST + ["--sigma", "0.5", "--radius", "nan"], id="robust-radius-nan"),
+    pytest.param("radius", ROBUST + ["--sigma", "0.5", "--radius", "inf"], id="robust-radius-inf"),
+    pytest.param("sigma", ROBUST + ["--sigma", "nan", "--radius", "0.3"], id="robust-sigma-nan"),
 ])
 def test_non_finite_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
     rc = main([a.format(**inst) for a in argv])
     assert rc == 2
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert conelp_calls == []
+
+
+@pytest.mark.parametrize("name, argv", [
+    pytest.param("radius", ROBUST + ["--sigma", "0.5", "--radius", "-1"], id="robust-radius-neg"),
+    pytest.param("sigma", ROBUST + ["--sigma", "-1", "--radius", "0.3"], id="robust-sigma-neg"),
+    pytest.param("--delta", ["lower-bound", "{A}", "{B}", "{ell}", "--sigma", "0.5",
+                             "--method", "contraction", "--delta", "0.5"], id="delta-large"),
+    pytest.param("--delta", ["lower-bound", "{A}", "{B}", "{ell}", "--sigma", "0.5",
+                             "--method", "contraction", "--delta", "0"], id="delta-zero"),
+    pytest.param("--rho-grid", ["lower-bound", "{A}", "{B}", "{ell}", "--sigma", "0.5",
+                                "--rho-grid", "0,2"], id="rho-grid-out-of-range"),
+    pytest.param("--rho-grid", ["lower-bound", "{A}", "{B}", "{ell}", "--sigma", "0.5",
+                                "--rho-grid", ","], id="rho-grid-empty"),
+    pytest.param("refine_deltas", ["experiment", "ellipsoid", "--n", "4", "--sigma-grid", "0.1",
+                                   "--refine-deltas", "0.5", "--out", "res"],
+                 id="experiment-refine-deltas"),
+    pytest.param("refine_deltas", ["experiment", "ellipsoid", "--n", "4", "--sigma-grid", "0.1",
+                                   "--refine-deltas", ",", "--out", "res"],
+                 id="experiment-refine-deltas-empty"),
+])
+def test_out_of_range_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
+    rc = main([a.format(**inst) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert conelp_calls == []
+
+
+@pytest.mark.parametrize("needle, argv", [
+    pytest.param("S must be positive semidefinite", ROBUST + ["--sigma", "0.5", "--radius", "0.3",
+                                                             "--S", "{neg}"], id="robust-S-not-psd"),
+    pytest.param("S must be 3x3", ROBUST + ["--sigma", "0.5", "--radius", "0.3", "--S", "{small}"],
+                 id="robust-S-shape"),
+    pytest.param("S must be positive semidefinite",
+                 ["srisk", "{A}", "{B}", "--sigma", "0.5", "--whole-space", "--S", "{neg}"],
+                 id="whole-space-S-not-psd"),
+    pytest.param("S must be 3x3",
+                 ["srisk", "{A}", "{B}", "--sigma", "0.5", "--whole-space", "--S", "{small}"],
+                 id="whole-space-S-shape"),
+    pytest.param("S must be 3x3", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--ellitope", "{ell}",
+                                   "--S", "{small}"], id="fixed-S-shape"),
+    pytest.param("C must be 3x3", ["sdprelax", "{small}", "{ell}"], id="sdprelax-C-shape"),
+    pytest.param("A and B must have n = 2 columns",
+                 ["robust", "{A}", "{B}", "{ell2}", "{E}", "{F}", "--sigma", "0.5", "--radius", "0.3"],
+                 id="robust-ellitope-dimension"),
+])
+def test_bad_matrix_shape_or_weight_exits_2(inst, capsys, conelp_calls, needle, argv):
+    neg, small = str(inst["dir"] / "neg.csv"), str(inst["dir"] / "small.csv")
+    ell2 = str(inst["dir"] / "ell2.json")
+    io.write_matrix(neg, -np.eye(3))
+    io.write_matrix(small, np.eye(2))
+    io.write_ellitope(ell2, Ellitope.ellipsoid(np.eye(2)))
+    rc = main([a.format(neg=neg, small=small, ell2=ell2, **inst) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
     assert conelp_calls == []
 
 
@@ -374,6 +445,7 @@ I3 = np.eye(3).tolist()
     pytest.param({"S": [I3, [["a", 0, 0], [0, 1, 0], [0, 0, 1]]]}, "S[1]", id="unparsable"),
     pytest.param({"S": [I3, [1.0, 1.0, 1.0]]}, "S[1]", id="vector"),
     pytest.param({"S": [I3, np.eye(2).tolist()]}, "S[1]", id="shape"),
+    pytest.param({"S": [I3, [[10 ** 400, 0, 0], [0, 1, 0], [0, 0, 1]]]}, "S[1]", id="huge-int"),
     pytest.param({"S": 5}, "descriptor needs", id="S-number"),
     pytest.param({"S": "S.csv"}, "descriptor needs", id="S-string"),
     pytest.param({"S": [I3], "tset": 5}, "descriptor needs", id="tset-number"),
@@ -384,6 +456,8 @@ I3 = np.eye(3).tolist()
                  "tset: pnorm_ball requires a finite p", id="p-nan"),
     pytest.param({"S": [I3], "tset": {"variant": "pnorm_ball", "p": float("inf")}},
                  "tset: pnorm_ball requires a finite p", id="p-inf"),
+    pytest.param({"S": [I3], "tset": {"variant": "pnorm_ball", "p": 10 ** 400}},
+                 "tset: pnorm_ball requires a finite p", id="p-huge-int"),
     pytest.param({"S": [I3], "tset": {"variant": "unit_box", "K": [1]}},
                  "tset: K must be a positive integer", id="K-list"),
     pytest.param({"S": [I3], "tset": {"variant": "unit_box", "K": 1.7}},
@@ -402,3 +476,67 @@ def test_malformed_descriptor_entry_exits_2(inst, capsys, conelp_calls, desc, ne
     err = capsys.readouterr().err
     assert f"{bad}: {needle}" in err and "Traceback" not in err
     assert conelp_calls == []
+
+
+# JSON values a descriptor field might hold: numbers of every kind (huge
+# integers and non-finite floats included), strings, null, and nested lists
+# and objects of those
+_JSON_ATOMS = (st.none() | st.booleans() | st.integers(-3, 5) | st.just(10 ** 400)
+               | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
+_JSON = st.recursive(_JSON_ATOMS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+_ENTRY = st.sampled_from(["1", "0", "-2.5", "nan", "inf", "1e400", "x", "", " ", "1" + "0" * 400])
+_CSV = st.lists(st.lists(_ENTRY, min_size=1, max_size=4).map(",".join),
+                max_size=4).map(lambda lines: "\n".join(lines) + "\n")
+_NUMBER = st.sampled_from([1, 2, 3, 4, 0, -1, 2.5, 10 ** 400]) | _JSON
+_ELEMENT = st.sampled_from([0, 1, 2, -1, 0.5, 10 ** 400, float("nan"), float("inf"), "a", None])
+_MATRIX = st.one_of(
+    st.just(I3),
+    st.lists(st.lists(_ELEMENT, min_size=3, max_size=3), min_size=3, max_size=3),
+    st.lists(st.lists(_ELEMENT, max_size=4), max_size=4),
+    st.sampled_from(["bad.csv", "missing.csv", ""]),
+    _JSON)
+_TSET = st.fixed_dictionaries(
+    {"variant": st.sampled_from(["unit_segment", "unit_box", "pnorm_ball", "x"])},
+    optional={"K": _NUMBER, "p": _NUMBER})
+_DESCRIPTOR = st.one_of(
+    st.fixed_dictionaries({"S": st.lists(_MATRIX, min_size=1, max_size=3), "tset": _TSET},
+                          optional={"n": _NUMBER, "K": _NUMBER}),
+    _JSON)
+
+
+def _estimate_exit(desc, csv: str, a_from_csv: bool) -> int:
+    """Exit code of ellest estimate on descriptor desc, with csv written to
+    bad.csv (A itself when a_from_csv); checks that exit 2 comes with an
+    error message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {k: os.path.join(tmp, f"{k}.csv") for k in ("A", "B", "bad")}
+        io.write_matrix(paths["A"], np.eye(3))
+        io.write_matrix(paths["B"], np.ones((1, 3)))
+        with open(paths["bad"], "w") as fp:
+            fp.write(csv)
+        ell = os.path.join(tmp, "ell.json")
+        with open(ell, "w") as fp:
+            json.dump(desc, fp)
+        err = io_lib.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io_lib.StringIO()):
+            rc = main(["estimate", paths["bad" if a_from_csv else "A"], paths["B"], ell,
+                       "--sigma", "0.5", "--out-h", os.path.join(tmp, "H.csv")])
+    assert (rc == 2) == err.getvalue().startswith("error: ")
+    return rc
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(desc=_DESCRIPTOR, csv=_CSV)
+def test_descriptor_fuzz_exits_0_or_2(desc, csv):
+    """Generated malformed descriptors (an S entry may name bad.csv): a
+    result or exit 2 with a message, never an uncaught exception."""
+    assert _estimate_exit(desc, csv, a_from_csv=False) in (0, 2)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(csv=_CSV)
+def test_matrix_csv_fuzz_exits_0_or_2(csv):
+    """Generated malformed CSVs read as A: a result or exit 2."""
+    desc = {"S": [I3], "tset": {"variant": "unit_segment"}}
+    assert _estimate_exit(desc, csv, a_from_csv=True) in (0, 2)

@@ -34,13 +34,11 @@ def test_sdp_smallest_diagonal():
 
 
 def test_soc_distance_with_equalities():
-    # min t s.t. (t, x - a) in SOC, x = 0  ->  ||a|| = 5
-    c = np.array([1.0, 0.0, 0.0])
-    G = -np.eye(3)
+    # min t s.t. (t, -a) in SOC: the distance of a from the origin  ->  ||a|| = 5
+    c = np.array([1.0])
+    G = -np.array([[1.0], [0.0], [0.0]])
     h = np.array([0.0, -3.0, -4.0])
-    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    b = np.zeros(2)
-    res = conelp(c, G, h, ConeDims(q=(3,)), A, b)
+    res = conelp(c, G, h, ConeDims(q=(3,)))
     assert res.status == "optimal"
     assert abs(res.pobj - 5.0) < 1e-6
 
@@ -144,7 +142,7 @@ def test_builder_named_variable_extraction():
     u = b.vars("u", 1)
     v = b.vars("v", 2)
     b.objective(u, [1.0])
-    b.eq(v, [1.0, 1.0], 2.0)
+    b.ineq(v, [-1.0, -1.0], -2.0)            # v0 + v1 >= 2
     b.ineq([v[0], u[0]], [1.0, -1.0], 0.0)   # v0 <= u
     b.ineq([v[1], u[0]], [1.0, -1.0], 0.0)   # v1 <= u
     b.nonneg(v)
@@ -286,26 +284,24 @@ def test_factored_gram_matches_dense(dims, d):
     pytest.param(ConeDims(q=(5,), s=(3, 4)), id="soc-two-psd"),
 ])
 def test_kkt_solve_matches_dense_saddle(dims):
-    # [0 A' G'; A 0 0; G 0 -W'W] (u, v, w) = (bx, by, bz) with equality rows A,
-    # against a dense solve that holds W'W as a matrix
+    # [0 G'; G -W'W] (u, w) = (bx, bz) against a dense solve that holds W'W
+    # as a matrix (G without _mixed_columns' zero last column, which would
+    # make the system singular)
     rng = stream(8, dims.cone_len)
-    d, p = 8, 2
-    G = _mixed_columns(rng, dims, d)
-    A = rng.standard_normal((p, d))
+    d = 8
+    G = _mixed_columns(rng, dims, d + 1)[:, :d]
     sc = Scaling.compute(dims, _interior(rng, dims), _interior(rng, dims))
     m = dims.cone_len
     WtW = sc.apply(sc.apply(np.eye(m), "w"), "wt")
-    K = np.block([[np.zeros((d, d)), A.T, G.T],
-                  [A, np.zeros((p, p)), np.zeros((p, m))],
-                  [G, np.zeros((m, p)), -WtW]])
-    bx, by, bz = rng.standard_normal(d), rng.standard_normal(p), rng.standard_normal(m)
-    ref = np.linalg.solve(K, np.concatenate([bx, by, bz]))
-    kkt = _KKT(G, A, dims)
+    K = np.block([[np.zeros((d, d)), G.T], [G, -WtW]])
+    bx, bz = rng.standard_normal(d), rng.standard_normal(m)
+    ref = np.linalg.solve(K, np.concatenate([bx, bz]))
+    kkt = _KKT(G, dims)
     kkt.factor(sc)
-    got = np.concatenate(kkt.solve3(bx, by, bz))
+    got = np.concatenate(kkt.solve(bx, bz))
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
     # a batched right-hand side solves column by column
-    B = [rng.standard_normal((k, 2)) for k in (d, p, m)]
-    cols = [np.concatenate(kkt.solve3(B[0][:, j], B[1][:, j], B[2][:, j])) for j in range(2)]
-    np.testing.assert_allclose(np.concatenate(kkt.solve3(*B)), np.column_stack(cols),
+    B = [rng.standard_normal((k, 2)) for k in (d, m)]
+    cols = [np.concatenate(kkt.solve(B[0][:, j], B[1][:, j])) for j in range(2)]
+    np.testing.assert_allclose(np.concatenate(kkt.solve(*B)), np.column_stack(cols),
                                rtol=1e-12, atol=1e-12)
