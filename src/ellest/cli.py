@@ -101,6 +101,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
+    if args.delta is not None and args.method == RHO_FAMILY:
+        raise ValueError("--delta applies to the refined methods; --method rho_family "
+                         "scans its own delta")
+    if args.rho_grid is not None and args.method != RHO_FAMILY:
+        raise ValueError(f"--rho-grid applies only to --method rho_family, not {args.method}")
     if args.delta is not None and not 0 < args.delta <= 0.2:
         raise ValueError(f"--delta must lie in (0, 0.2], got {args.delta}")
     grid = _floats(args.rho_grid) if args.rho_grid else None

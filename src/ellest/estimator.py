@@ -103,16 +103,16 @@ def add_design_lmi(L, A: np.ndarray, B: np.ndarray, S: np.ndarray,
 
 def add_neg_product(L, M: np.ndarray, h_idx: np.ndarray, nu: int,
                     row0: int, col0: int) -> None:
-    """Enter -M'H into L at rows row0.. and columns col0..: symmetric entry
-    (row0 + i, col0 + b) gets -M[a, i] * H[a, b], with H (m x nu) entered
-    row-major as in add_design_lmi."""
+    """Enter -M'H into L at rows row0.. and columns col0.. (and its transpose
+    below the diagonal), with H (m x nu) entered row-major as in
+    add_design_lmi: sym(U H V') with U = -2M' at rows row0.. and V = I at
+    rows col0..."""
     m, r = M.shape
-    aa, ii, bb = np.meshgrid(np.arange(m), np.arange(r), np.arange(nu), indexing="ij")
-    aa, ii, bb = aa.ravel(), ii.ravel(), bb.ravel()
-    vals = -M[aa, ii]
-    keep = vals != 0.0
-    L.term_entries((row0 + ii)[keep], (col0 + bb)[keep],
-                   h_idx[aa[keep] * nu + bb[keep]], vals[keep])
+    U = np.zeros((L.order, m))
+    U[row0:row0 + r] = -2.0 * M.T
+    V = np.zeros((L.order, nu))
+    V[col0:col0 + nu] = np.eye(nu)
+    L.matrix_term(h_idx, U, V)
 
 
 def build_linear_estimate(prob: EstimationProblem, *, tol_gap: float = 1e-8) -> LinearEstimate:

@@ -91,19 +91,19 @@ def safe_cholesky(M: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("matrix not positive definite even with jitter")
 
 
-def congruence_svec_map(V: np.ndarray) -> np.ndarray:
-    """Matrix Mmap with svec(V smat(q) V') = Mmap @ q for every svec vector q.
-
-    Shape (svec_len(V.shape[0]), svec_len(V.shape[1])).
-    """
-    V = np.asarray(V, dtype=float)
-    ai, bi = _tri_indices(V.shape[1])
-    R1 = V[:, ai]
-    R2 = V[:, bi]
-    O = np.einsum("ip,jp->pij", R1, R2)
-    O = O + np.transpose(O, (0, 2, 1))
-    O /= np.where(ai == bi, 2.0, SQRT2)[:, None, None]
-    return svec(O).T
+def matrix_basis(p: int, q: int, k: int):
+    """The basis of a matrix variable X with k entries and p x q shape:
+    row-major entries E_ab = e_a e_b' when k = p q, or, for a symmetric X in
+    svec order (k = svec_len(p) < p^2), E_ab = (e_a e_b' + e_b e_a') / div
+    with div 2 on the diagonal and sqrt(2) off it, so that svec(E_ab) is a
+    unit vector. Returns (a, b, div), div None for a row-major X."""
+    if k == p * q:
+        a, b = np.divmod(np.arange(k), q)
+        return a, b, None
+    if p == q and k == svec_len(p):
+        a, b = _tri_indices(p)
+        return a, b, np.where(a == b, 2.0, SQRT2)
+    raise ValueError(f"{k} variables fit neither a {p}x{q} nor a symmetric {p}x{p} matrix")
 
 
 def spectral_norm(M: np.ndarray) -> float:

@@ -26,7 +26,6 @@ from scipy.special import ndtr, ndtri
 from .ellitope import BOX, SEGMENT, Ellitope, add_tset_cone
 from .estimator import EstimationProblem, build_linear_estimate
 from .linalg import (
-    congruence_svec_map,
     min_eig,
     psd_sqrt,
     smat,
@@ -200,11 +199,11 @@ def _add_phi_objective(b: Builder, A: np.ndarray, B: np.ndarray, sigma: float,
     F0 = np.zeros((nu + m, nu + m))
     F0[nu:, nu:] = sigma ** 2 * np.eye(m)
     L.const(F0)
-    L.term_symmetric_block(g)
-    V = np.vstack([B, A])
-    V0 = np.vstack([B, np.zeros_like(A)])
-    Mmap = congruence_svec_map(V) - congruence_svec_map(V0)
-    L.map_svec(q_idx, Mmap)
+    E = np.eye(nu + m)[:, :nu]
+    L.matrix_term(g, E, E)
+    # V Q V' - V0 Q V0' with V = [B; A], V0 = [B; 0] is sym(U Q Va') with
+    # Va = [0; A] and U = 2 V0 + Va
+    L.matrix_term(q_idx, np.vstack([2 * B, A]), np.vstack([np.zeros_like(B), A]))
     return L
 
 
@@ -218,7 +217,7 @@ def solve_bayesian_sdp(prob: EstimationProblem, *,
     b = Builder()
     q = b.vars("Q", svec_len(n))
     _add_phi_objective(b, A, B, prob.sigma, q)
-    b.lmi(n).term_symmetric_block(q)
+    b.lmi(n).matrix_term(q, np.eye(n), np.eye(n))
     _add_q_in_script_q(b, ell, q)
     prog = b.build()
     sol = solve_or_raise(prog)
@@ -242,7 +241,7 @@ def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope, tol_gap: float):
     b = Builder()
     q = b.vars("Q", svec_len(n))
     b.objective(q, -svec(C))
-    b.lmi(n).term_symmetric_block(q)
+    b.lmi(n).matrix_term(q, np.eye(n), np.eye(n))
     _add_q_in_script_q(b, ell, q)
     prog = b.build()
     sol = solve_or_raise(prog, tol_gap=tol_gap)
@@ -360,7 +359,7 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
     b = Builder()
     q = b.vars("Q", svec_len(n))
     _add_phi_objective(b, A, B, prob.sigma, q)
-    b.lmi(n).term_symmetric_block(q)
+    b.lmi(n).matrix_term(q, np.eye(n), np.eye(n))
 
     rho = None
     if method == CONTRACTION:
@@ -377,7 +376,9 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
         soc.set_triplets(1 + mi * n + mj, q[qc], vv)
         Ls = b.lmi(2 * n)
         Ls.term(ws[0], np.eye(2 * n))
-        Ls.term_entries(mi, n + mj, q[qc], vv)
+        # [[0, QS], [S Q, 0]] = sym(U Q V') with U = [2I; 0], V = [0; S']
+        Ls.matrix_term(q, np.vstack([2 * np.eye(n), np.zeros((n, n))]),
+                       np.vstack([np.zeros((n, n)), ell.S[0].T]))
         lnd = math.log(1.0 / delta)
         sv = svec(ell.S[0])
         nz = np.nonzero(sv)[0]

@@ -123,7 +123,7 @@ def _dual_srisk_solve(A: np.ndarray, B: np.ndarray, sigma: float, S: np.ndarray,
     Es = np.zeros((nu + m, nu + m))
     Es[nu:, nu:] = sigma ** 2 * np.eye(m)
     L.term(s[0], Es)
-    b.lmi(n).term_symmetric_block(w)
+    b.lmi(n).matrix_term(w, np.eye(n), np.eye(n))
     sv_s = svec(S)
     nz = np.nonzero(sv_s)[0]
     b.ineq(np.concatenate([w[nz], s]), np.concatenate([sv_s[nz], [1.0]]), 1.0)
@@ -221,9 +221,9 @@ def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
     b.objective(tau, [1.0])
     L = b.lmi(n + nu)
     add_design_lmi(L, A, B, np.zeros((0, n, n)), np.zeros(0, dtype=int), h)
-    L.term_symmetric_block(t_idx)
-    Lt = b.lmi(n)
-    Lt.term_symmetric_block(t_idx)
+    E = np.eye(n + nu)[:, :n]
+    L.matrix_term(t_idx, E, E)
+    b.lmi(n).matrix_term(t_idx, np.eye(n), np.eye(n))
     add_frobenius_epigraph(b, h, u[0])
     b.ineq(np.concatenate([u, tau]), [sigma ** 2, -1.0], 0.0)
     b.ineq(np.concatenate([t_idx, tau]),

@@ -15,11 +15,15 @@ cone vector or to the columns of a (cone_len, k) array.
 
 The IPM's Schur block G'(W'W)^{-1}G is never built from a dense W^{-T}G.
 ColumnFactors splits G once per solve into per-block pieces: orthant rows, SOC
-rows with their constant G_b'JG_b, and low-rank eigenvector terms of every
-PSD column. Scaling.scale_G assembles the block from them each iteration: a
-diagonal weighting, a rank-2 update, and the squared Gram of Y = R^{-1} Q
-summed over each column's terms (the low-rank data trick of DSDP, Benson,
-Ye, Zhang 2000).
+rows with their constant G_b'JG_b, and for an LMI the factors (U, V) of the
+columns a matrix variable X fills as sym(U X V') plus low-rank eigenvector
+terms of every other column. Scaling.scale_G assembles the block from them
+each iteration: a diagonal weighting, a rank-2 update, and for an LMI the
+squared Gram of Y = R^{-1} Q summed over each column's terms (the low-rank
+data trick of DSDP, Benson, Ye, Zhang 2000), Kronecker products of the
+scaled factors for each pair of matrix-variable terms (the symmetric
+Kronecker product of Todd, Toh, Tutuncu 1998 for a symmetric X), and the
+products of the two between them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg import safe_cholesky, smat, svec, svec_len
+from ..linalg import matrix_basis, safe_cholesky, smat, svec, svec_len
 
 # Columns per batch of eigh calls in _psd_terms: bounds the (chunk, n, n) temporaries.
 PSD_CHUNK = 256
@@ -279,41 +283,23 @@ class Scaling:
           * orthant: G_b' diag(d)^{-2} G_b;
           * SOC: (W_b'W_b)^{-1} = (2 u u' - J) / beta^2 with u = J wbar, so the
             term is (2 v v' - C) / beta^2 with v = G_b'u;
-          * PSD: with P = Rinv'Rinv and y_r = Rinv q_r, entry (i, j) is
-            Tr(F_i P F_j P) = sum_{r in i, s in j} w_r w_s (y_r'y_s)^2
-            (Fujisawa, Kojima, Nakata 1997): the squared Gram of Y summed
-            over each column's terms.
+          * PSD: Tr(G_i P G_j P) with P = Rinv'Rinv, see _lmi_schur.
         """
         H = np.zeros((fac.d, fac.d))
         for (kind, *_), blk, fb in zip(self.dims.blocks(), self.blocks, fac.blocks):
             if fb is None:
                 continue
-            span, *data = fb
             if kind == "l":
-                Gd = data[0] / blk[:, None]
+                span, Gb = fb
+                Gd = Gb / blk[:, None]
                 H[span, span] += Gd.T @ Gd
             elif kind == "q":
+                span, Gb, C = fb
                 beta, wbar = blk
-                Gb, C = data
                 v = wbar[0] * Gb[0] - wbar[1:] @ Gb[1:]
                 H[span, span] += (2.0 * np.outer(v, v) - C) / (beta * beta)
             else:
-                Q, sgn, layers = data
-                Y = blk[1] @ Q
-                # a copy: numpy's syrk path for Y'Y fills the lower triangle
-                # with a strided copy, slower than gemm for thousands of terms
-                Z = Y.T @ Y.copy()
-                Z *= Z
-                Z *= sgn[:, None]
-                # sum the rows, then the columns (as rows of the transpose),
-                # of each column's terms
-                k = span.stop - span.start
-                for cols, terms in layers:
-                    Z[cols] += Z[terms]
-                Z = np.multiply(Z[:k].T, sgn[:, None], order="C")
-                for cols, terms in layers:
-                    Z[cols] += Z[terms]
-                H[span, span] += Z[:k]
+                _lmi_schur(H, blk[1], *fb)
         return H
 
 
@@ -323,22 +309,32 @@ class ColumnFactors:
     G'(W'W)^{-1}G from; computed once per solve.
 
     blocks follows dims.blocks(), with None for a block no column enters.
-    Each other entry starts with span, the slice of columns from the block's
-    first nonzero column to its last, and goes on with, for G_b = G[block, span]:
+    An orthant or SOC entry starts with span, the slice of columns from the
+    block's first nonzero column to its last, and goes on with, for
+    G_b = G[block, span]:
       * orthant: G_b;
-      * SOC: G_b and C = G_b' J G_b with J = diag(1, -1, ..., -1);
-      * PSD: Q, sgn and layers from _psd_terms.
+      * SOC: G_b and C = G_b' J G_b with J = diag(1, -1, ..., -1).
+    An LMI entry is (eig, terms, F) from _lmi_factors.
     """
 
     d: int
     blocks: list
 
     @classmethod
-    def of(cls, G: np.ndarray, dims: ConeDims) -> "ColumnFactors":
+    def of(cls, G: np.ndarray, dims: ConeDims, terms=()) -> "ColumnFactors":
+        """terms lists, per LMI block in cone order, the (cols, U, V) of the
+        columns that are svec(sym(U E V')) over the basis E of a matrix
+        variable (see linalg.matrix_basis), with G's sign; those columns are
+        not eigendecomposed."""
         blocks = []
+        lmi_terms = iter(terms)
         for kind, off, ln, n in dims.blocks():
             Gb = G[off:off + ln]
-            cols = np.flatnonzero(np.any(Gb != 0, axis=0))
+            nonzero = np.any(Gb != 0, axis=0)
+            if kind == "s":
+                blocks.append(_lmi_factors(Gb, n, nonzero, next(lmi_terms, ())))
+                continue
+            cols = np.flatnonzero(nonzero)
             if not len(cols):
                 blocks.append(None)
                 continue
@@ -346,13 +342,153 @@ class ColumnFactors:
             Gb = Gb[:, span]
             if kind == "l":
                 blocks.append((span, Gb))
-            elif kind == "q":
+            else:
                 JG = Gb.copy()
                 JG[1:] *= -1.0
                 blocks.append((span, Gb, Gb.T @ JG))
-            else:
-                blocks.append((span, *_psd_terms(Gb, n)))
         return cls(G.shape[1], blocks)
+
+
+def _index(cols: np.ndarray):
+    """cols as a slice when they are consecutive, else as they are."""
+    if np.all(np.diff(cols) == 1):
+        return slice(int(cols[0]), int(cols[-1]) + 1)
+    return cols
+
+
+def _add(H: np.ndarray, rows, cols, M: np.ndarray) -> None:
+    if isinstance(rows, slice) and isinstance(cols, slice):
+        H[rows, cols] += M
+    else:
+        ar = np.arange(len(H))
+        H[np.ix_(ar[rows], ar[cols])] += M
+
+
+def _lmi_factors(Gb: np.ndarray, n: int, nonzero: np.ndarray, terms):
+    """(eig, terms, F) of an LMI block, or None when no column enters it.
+
+    F stacks the eigen-terms Q of _psd_terms and then U and V of every
+    recorded (cols, U, V), so one Gram of Rinv F per iteration serves the
+    whole block. terms holds (idx, fold, u, v) per record: idx its columns
+    (_index); fold None for a row-major X, or, for a symmetric X, the
+    row-major positions of (a, b) and (b, a) and div of its svec basis; u and
+    v the slices of U and V in F past Q. eig is None when every nonzero
+    column is a term column, else (idx, k, sgn, layers): the k columns from
+    the first nonzero non-term column to the last, less the term columns,
+    with the signs and layers of their eigen-terms.
+    """
+    in_term = np.zeros(len(nonzero), dtype=bool)
+    recorded, factors, off = [], [], 0
+    for cols, U, V in terms:
+        in_term[cols] = True
+        p, q = U.shape[1], V.shape[1]
+        a, b, div = matrix_basis(p, q, len(cols))
+        recorded.append((_index(cols), None if div is None else (a * p + b, b * p + a, div),
+                         slice(off, off + p), slice(off + p, off + p + q)))
+        factors += [U, V]
+        off += p + q
+    cols = np.flatnonzero(nonzero & ~in_term)
+    eig = None
+    if len(cols):
+        e = np.arange(cols[0], cols[-1] + 1)
+        e = e[~in_term[e]]
+        Q, sgn, layers = _psd_terms(Gb[:, e], n)
+        eig = (_index(e), len(e), sgn, layers)
+        factors.insert(0, Q)
+    elif not recorded:
+        return None
+    return eig, recorded, np.hstack(factors)
+
+
+def _fold(M: np.ndarray, fold, axis: int) -> np.ndarray:
+    """M with its axis over the row-major entries (a, b) of a matrix
+    variable folded onto the variable's own basis: (M_ab + M_ba) / div for a
+    symmetric one, M itself for a row-major one."""
+    if fold is None:
+        return M
+    ab, ba, div = fold
+    out = M.take(ab, axis)
+    out += M.take(ba, axis)
+    out /= div if axis else div[:, None]
+    return out
+
+
+def _add_folded(H: np.ndarray, ti, tj, fi, fj, T: np.ndarray, mirror: bool) -> None:
+    """Add T, over the row-major entries of two matrix variables, folded onto
+    their bases to H[ti, tj], and its transpose to H[tj, ti] when mirror."""
+    T = _fold(_fold(T, fi, 0), fj, 1)
+    _add(H, ti, tj, T)
+    if mirror:
+        _add(H, tj, ti, T.T)
+
+
+def _sum_terms(Z: np.ndarray, layers) -> None:
+    """Add the rows of each column's further terms to its first term's row
+    (layers from _psd_terms), so that Z[:k] holds one row per column."""
+    for cols, trm in layers:
+        if isinstance(cols, int):
+            Z[cols] += Z[trm].sum(axis=0)
+        else:
+            Z[cols] += Z[trm]
+
+
+def _lmi_schur(H: np.ndarray, Rinv: np.ndarray, eig, terms, F) -> None:
+    """Add an LMI block's part of the Schur block, Tr(G_i P G_j P) with
+    P = Rinv'Rinv, to H (eig, terms and F from _lmi_factors). All of it comes
+    from the Gram of Rinv F:
+      * two eigen columns G_i = sum_r w_r q_r q_r': with y_r = Rinv q_r,
+        sum_{r in i, s in j} w_r w_s (y_r'y_s)^2 (Fujisawa, Kojima, Nakata
+        1997), the squared Gram of Y summed over each column's terms;
+      * columns G_ab = sym(U E_ab V') and G_cd = sym(U2 E_cd V2') of two
+        terms: with U~ = Rinv U and so on, (K1_ac K2_bd + X_ad Y_bc) / 2 for
+        K1 = U~'U2~, K2 = V~'V2~, X = U~'V2~, Y = V~'U2~: kron(K1, K2) plus a
+        permuted outer product of X and Y, folded onto the svec basis of a
+        symmetric variable (for U = V = U2 = V2 this is the symmetric
+        Kronecker product of K1 with itself, Todd, Toh, Tutuncu 1998);
+      * an eigen column i against G_ab: sum_{r in i} w_r (U~'y_r)_a (V~'y_r)_b.
+    """
+    A = Rinv @ F
+    # a copy: numpy's syrk path for A'A fills the lower triangle with a
+    # strided copy, slower than gemm for thousands of terms
+    Gm = A.T @ A.copy()
+    N = 0
+    if eig is not None:
+        idx, k, sgn, layers = eig
+        N = len(sgn)
+        # squared in place: the term part of Gm does not read this corner
+        Z = Gm[:N, :N]
+        Z *= Z
+        Z *= sgn[:, None]
+        # sum the rows, then the columns (as rows of the transpose), of each
+        # column's terms
+        _sum_terms(Z, layers)
+        Z = np.multiply(Z[:k].T, sgn[:, None], order="C")
+        _sum_terms(Z, layers)
+        _add(H, idx, idx, Z[:k])
+    YW, Gw = Gm[:N, N:], Gm[N:, N:]
+    Gh = 0.5 * Gw
+    for i, (ti, fi, ui, vi) in enumerate(terms):
+        if N:
+            C = (YW[:, ui, None] * (YW[:, None, vi] * sgn[:, None, None])).reshape(N, -1)
+            C = _fold(C, fi, 1)
+            _sum_terms(C, layers)
+            _add(H, idx, ti, C[:k])
+            _add(H, ti, idx, C[:k].T)
+        rows = (ui.stop - ui.start) * (vi.stop - vi.start)
+        for j, (tj, fj, uj, vj) in enumerate(terms[i:], i):
+            # T[(a, b), (c, d)] = K1[a, c] K2[b, d] + X[a, d] Y[b, c], halved
+            T = Gh[ui, uj][:, None, :, None] * Gw[vi, vj][None, :, None, :]
+            if fi is None and fj is None:
+                # add the two products one at a time: a second large
+                # temporary alive at once costs more in fresh pages than
+                # the arithmetic
+                _add_folded(H, ti, tj, fi, fj, T.reshape(rows, -1), j != i)
+                del T
+                T = Gh[ui, vj][:, None, None, :] * Gw[vi, uj][None, :, :, None]
+            else:
+                # folding costs more: fold the sum once
+                T += Gh[ui, vj][:, None, None, :] * Gw[vi, uj][None, :, :, None]
+            _add_folded(H, ti, tj, fi, fj, T.reshape(rows, -1), j != i)
 
 
 def _psd_terms(Gb: np.ndarray, n: int):
@@ -364,7 +500,9 @@ def _psd_terms(Gb: np.ndarray, n: int):
     The terms are laid out in layers: layer t holds the t-th term of every
     column of rank > t, so layer 0 is the columns themselves, in order, and
     the terms of layer t >= 1 sit in the slice terms and add to columns cols
-    (a slice when contiguous). layers lists (cols, terms) for t >= 1.
+    (a slice when contiguous). layers lists (cols, terms) for t >= 1, except
+    that the layers where a single column is left are one entry (column,
+    terms) with an int column (see _sum_terms).
     """
     chunks = []
     for lo in range(0, Gb.shape[1], PSD_CHUNK):
@@ -396,7 +534,13 @@ def _psd_terms(Gb: np.ndarray, n: int):
         cols, w = np.concatenate(cols), np.concatenate(w)
         Qs.append(np.concatenate(q).T * np.sqrt(np.abs(w)))
         sgns.append(np.sign(w))
-        if t:
+        if t and len(cols) == 1:
+            # a single column is left: its remaining terms form one layer
+            if layers and isinstance(layers[-1][0], int):
+                layers[-1] = (layers[-1][0], slice(layers[-1][1].start, off + 1))
+            else:
+                layers.append((int(cols[0]), slice(off, off + 1)))
+        elif t:
             if cols[-1] - cols[0] + 1 == len(cols):
                 cols = slice(cols[0], cols[-1] + 1)
             layers.append((cols, slice(off, off + len(w))))

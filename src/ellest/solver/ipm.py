@@ -18,7 +18,11 @@ certificate in the ConicSolution's x/z instead of a solution:
 Each iteration factors the KKT system through its d x d Schur block
 G'(W'W)^{-1}G, assembled per cone block from factors of G's columns that are
 computed once per solve (cones.ColumnFactors, Scaling.scale_G): no dense
-W^{-T}G is formed. The Schur block is dense and LU-factored.
+W^{-T}G is formed. LMI columns that a matrix variable fills by a fixed
+congruence arrive as terms (U, V) and get Kronecker-product Schur blocks;
+the other LMI columns are eigendecomposed. The Schur block is dense and
+LU-factored. Everything else multiplies by G in sparse (CSR) form: the
+residuals, the certificate checks and the KKT solves.
 """
 
 from __future__ import annotations
@@ -70,10 +74,10 @@ class _KKT:
     multiply by G in sparse form: G is mostly zeros in the programs of this
     package."""
 
-    def __init__(self, G, dims: ConeDims):
+    def __init__(self, G, dims: ConeDims, terms=()):
         self.G = scipy.sparse.csr_array(G)
         self.Gt = scipy.sparse.csr_array(G.T)
-        self.fac = ColumnFactors.of(G, dims)
+        self.fac = ColumnFactors.of(G, dims, terms)
 
     def factor(self, scaling: Scaling) -> None:
         self.scaling = scaling
@@ -117,8 +121,13 @@ def conelp(
     h: np.ndarray,
     dims: ConeDims,
     *,
+    terms=(),
     tol_gap: float = 1e-8,
 ) -> ConicSolution:
+    """Solve the cone program (c, G, h, dims). terms lists, per LMI block,
+    the (cols, U, V) of columns of G that are svec(sym(U E V')) over the
+    basis E of a matrix variable (program.ConicProgram.lmi_terms); the Schur
+    block of those columns is built from U and V (cones.ColumnFactors)."""
     c = np.asarray(c, dtype=float)
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -134,7 +143,8 @@ def conelp(
     norm_c = max(1.0, np.linalg.norm(c))
 
     # Starting point: least-norm primal/dual estimates pushed into the cone.
-    kkt = _KKT(G, dims)
+    kkt = _KKT(G, dims, terms)
+    G, Gt = kkt.G, kkt.Gt
     kkt.factor(Scaling.identity(dims))
     x, w0 = kkt.solve(np.zeros(d), h.copy())
     s = -w0
@@ -152,7 +162,7 @@ def conelp(
 
     for it in range(MAX_ITER + 1):
         # Residuals of the embedding.
-        rx = G.T @ z + c * tau
+        rx = Gt @ z + c * tau
         rz = G @ x + s - h * tau
         rt = kappa + c @ x + h @ z
 
@@ -163,7 +173,7 @@ def conelp(
         gap = float(ss @ zs)
         relgap = gap / max(1.0, abs(pobj), abs(dobj))
         pres = np.linalg.norm(G @ xs + ss - h) / norm_h
-        dres = np.linalg.norm(G.T @ zs + c) / norm_c
+        dres = np.linalg.norm(Gt @ zs + c) / norm_c
 
         if best is None or max(pres, dres, relgap) < max(best.pres, best.dres, best.relgap):
             best = ConicSolution("max_iter", xs.copy(), zs.copy(), ss.copy(),
@@ -177,7 +187,7 @@ def conelp(
         hz = h @ z
         if hz < 0:
             t = -1.0 / hz
-            cert_res = np.linalg.norm(G.T @ (t * z))
+            cert_res = np.linalg.norm(Gt @ (t * z))
             if cert_res <= TOL_FEAS * norm_c:
                 return ConicSolution("primal_infeasible", None, t * z, None,
                                      pres=cert_res, iterations=it,

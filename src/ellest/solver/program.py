@@ -10,19 +10,26 @@ There are no equality rows: every program of this package is in inequality
 form. Quadratic objective terms never appear here either: callers model them
 with epigraph variables (SOC rows or Schur-complement LMIs).
 
+An LMI block also records the matrix variables that enter it by a fixed
+congruence (_LMIHandle.matrix_term: sym(U X V') for the design LMI's H and
+the covariance programs' Q). Their columns are ordinary triplets like any
+other, written from (U, V), and the records go to the engine beside the
+lowered program, which builds those columns' Schur block from U and V.
+
 lower() is the single place that densifies: it stacks the blocks into the
 engine form (c, G, h, dims) of ipm.conelp with G = -F, h = F0, and solve()
-returns the engine's ConicSolution as it is.
+passes it with lmi_terms() to conelp and returns the engine's
+ConicSolution as it is.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..linalg import _tri_indices, svec
+from ..linalg import _svec_scale, _tri_indices, matrix_basis, svec
 from .cones import ConeDims
 from .ipm import ConicSolution, conelp
 
@@ -43,6 +50,9 @@ class ConeBlock:
     cols: np.ndarray
     vals: np.ndarray
     F0: np.ndarray
+    # matrix_term records (cols, U, V) of an "s" block: these columns are
+    # svec(sym(U E V')) over the basis E of a matrix variable
+    terms: tuple = ()
 
 
 @dataclass
@@ -64,6 +74,12 @@ class ConicProgram:
                         q=tuple(blk.dim for blk in blocks if blk.kind == "q"),
                         s=tuple(blk.dim for blk in blocks if blk.kind == "s"))
         return self.c, G, np.concatenate([blk.F0 for blk in blocks]), dims
+
+    def lmi_terms(self) -> list:
+        """The matrix_term records of each "s" block in cone order, with G's
+        sign: G = -F, so the column sym(U E V') of F is sym((-U) E V') in G."""
+        return [[(cols, -U, V) for cols, U, V in blk.terms]
+                for blk in self.blocks if blk.kind == "s"]
 
 
 # debug hook: when set via set_program_dump, every program passed to solve()
@@ -91,7 +107,7 @@ def solve(prog: ConicProgram, **kw) -> ConicSolution:
     if _dump_state:
         _dump_state[1] += 1
         _dump_lowered(f"{_dump_state[0]}.{_dump_state[1]}.json", prog, *lowered)
-    return conelp(*lowered, **kw)
+    return conelp(*lowered, terms=prog.lmi_terms(), **kw)
 
 
 def solve_or_raise(prog: ConicProgram, **kw) -> ConicSolution:
@@ -223,10 +239,9 @@ class _SocHandle(_TripletBlock):
 class _LMIHandle(_TripletBlock):
     """One LMI block F0 + sum_i x_i F_i >= 0.
 
-    Terms are entered either as dense symmetric matrices (term) or as
-    entry-level triplets (term_entries) where (i, j) refers to the symmetric
-    matrix position; both (i,j) and (j,i) are implied, svec scaling is applied
-    here.
+    Terms are entered as dense symmetric matrices per variable (term), as raw
+    svec triplets (set_triplets), or for a matrix variable entering by a
+    fixed congruence, from its factors (matrix_term).
     """
 
     kind = "s"
@@ -235,38 +250,69 @@ class _LMIHandle(_TripletBlock):
         super().__init__()
         self.dim = self.order = order
         self._F0 = np.zeros((order, order))
+        self._plain: list[np.ndarray] = []
+        self._terms: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def const(self, F0: np.ndarray) -> None:
         self._F0 = self._F0 + np.asarray(F0, dtype=float)
+
+    def set_triplets(self, rows, cols, vals) -> None:
+        super().set_triplets(rows, cols, vals)
+        self._plain.append(self._cols[-1])
 
     def term(self, col: int, Fi: np.ndarray) -> None:
         v = svec(np.asarray(Fi, dtype=float))
         nz = np.nonzero(v)[0]
         self.set_triplets(nz, np.full(len(nz), col), v[nz])
 
-    def map_svec(self, cols, M: np.ndarray) -> None:
-        """Insert a whole linear map: column c of M is the svec contribution
-        of variable cols[c] to this block."""
+    def matrix_term(self, cols, U: np.ndarray, V: np.ndarray) -> None:
+        """Add sym(U X V') = (U X V' + V X' U') / 2 for a matrix variable X
+        whose entries are the variables cols: p x q in row-major order, or
+        symmetric p x p in svec order (see linalg.matrix_basis), with U
+        (order x p) and V (order x q) fixed.
+
+        The triplets of each column svec(sym(U E V')) are written from U and
+        V here, and (cols, U, V) is recorded on the ConeBlock: the IPM builds
+        the Schur block of these columns from U and V by Kronecker products
+        instead of eigendecomposing each column. A variable entered here may
+        have no other entries in this LMI."""
+        cols = _ints(cols)
+        U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+        if len(np.unique(cols)) != len(cols):
+            raise ValueError("matrix_term needs distinct variables")
+        if U.shape[0] != self.order or V.shape[0] != self.order:
+            raise ValueError(f"U and V need {self.order} rows, got {U.shape[0]} and {V.shape[0]}")
+        q = V.shape[1]
+        a, b, div = matrix_basis(U.shape[1], q, len(cols))
+        # only svec entries (r, c) with U and V nonzero in rows r and c, or in
+        # c and r, can be nonzero
+        ri, ci = _tri_indices(self.order)
+        uz, vz = np.any(U != 0, axis=1), np.any(V != 0, axis=1)
+        keep = np.flatnonzero((uz[ri] & vz[ci]) | (uz[ci] & vz[ri]))
+        ri, ci = ri[keep], ci[keep]
+
+        def prod(r, c):
+            # entry (r, c) of U E V' for each column, E = e_a e_b' (+ e_b e_a')
+            O = (U[r][:, :, None] * V[c][:, None, :]).reshape(len(r), -1)
+            return O if div is None else O[:, a * q + b] + O[:, b * q + a]
+
+        M = np.zeros((len(keep), len(cols)))
+        for r, c in ((ri, ci), (ci, ri)):
+            if (uz[r] & vz[c]).any():
+                M += prod(r, c)
+        M /= 2
+        if div is not None:
+            M /= div
+        M *= _svec_scale(self.order)[keep, None]
         rows, cc = np.nonzero(M)
-        self.set_triplets(rows, np.asarray(cols, dtype=int)[cc], M[rows, cc])
+        super().set_triplets(keep[rows], cols[cc], M[rows, cc])
+        self._terms.append((cols, U, V))
 
-    def term_symmetric_block(self, cols) -> None:
-        """Add a symmetric matrix variable (given by its svec-ordered flat
-        variable indices cols) to the leading diagonal sub-block."""
-        s = int(round((np.sqrt(8 * len(cols) + 1) - 1) / 2))
-        if s * (s + 1) // 2 != len(cols):
-            raise ValueError("cols length is not a triangular number")
-        ai, bi = _tri_indices(s)
-        self.set_triplets(bi * (bi + 1) // 2 + ai, cols, np.ones(len(cols)))
-
-    def term_entries(self, mat_i, mat_j, cols, vals) -> None:
-        """Bulk insert: coefficient vals[k] at symmetric entry (mat_i[k], mat_j[k])
-        of the LMI for variable cols[k]."""
-        mat_i, mat_j = np.asarray(mat_i, dtype=int), np.asarray(mat_j, dtype=int)
-        lo = np.minimum(mat_i, mat_j)
-        hi = np.maximum(mat_i, mat_j)
-        scale = np.where(lo == hi, 1.0, np.sqrt(2.0))
-        self.set_triplets(hi * (hi + 1) // 2 + lo, cols, np.asarray(vals, dtype=float) * scale)
+    def freeze(self) -> ConeBlock:
+        if self._terms and self._plain and np.isin(
+                np.concatenate([t[0] for t in self._terms]), np.concatenate(self._plain)).any():
+            raise ValueError("a matrix_term variable has other entries in the same LMI")
+        return replace(super().freeze(), terms=tuple(self._terms))
 
     def _f0(self) -> np.ndarray:
         return svec(self._F0)

@@ -365,6 +365,11 @@ def test_non_finite_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
                                 "--rho-grid", "0,2"], id="rho-grid-out-of-range"),
     pytest.param("--rho-grid", ["lower-bound", "{A}", "{B}", "{ell}", "--sigma", "0.5",
                                 "--rho-grid", ","], id="rho-grid-empty"),
+    pytest.param("--delta", ["lower-bound", "{A}", "{B}", "{ell}", "--sigma", "0.5",
+                             "--delta", "0.1"], id="delta-with-rho-family"),
+    pytest.param("--rho-grid", ["lower-bound", "{A}", "{B}", "{ell}", "--sigma", "0.5",
+                                "--method", "contraction", "--rho-grid", "0.5"],
+                 id="rho-grid-with-refined-method"),
     pytest.param("refine_deltas", ["experiment", "ellipsoid", "--n", "4", "--sigma-grid", "0.1",
                                    "--refine-deltas", "0.5", "--out", "res"],
                  id="experiment-refine-deltas"),

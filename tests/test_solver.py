@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ellest.linalg import svec
+from ellest.linalg import smat, svec, svec_len
 from ellest.rng import stream
 from ellest.solver import Builder, SolverError, solve, solve_or_raise
 from ellest.solver.cones import PSD_CHUNK, ColumnFactors, ConeDims, Scaling
@@ -254,22 +254,141 @@ def _mixed_columns(rng, dims: ConeDims, d: int) -> np.ndarray:
     return G
 
 
-GRAM_DIMS = [
-    pytest.param(ConeDims(l=6), 5, id="orthant"),
-    pytest.param(ConeDims(q=(1, 7)), 9, id="soc"),
-    pytest.param(ConeDims(s=(5,)), 9, id="psd"),
-    pytest.param(ConeDims(s=(3, 6)), 12, id="two-psd"),
-    pytest.param(ConeDims(l=3, q=(4, 6), s=(2, 4)), 11, id="mixed"),
-    pytest.param(ConeDims(l=2, q=(5,), s=(4,)), PSD_CHUNK + 44, id="wide"),
+def _columns_case(dims: ConeDims, d: int):
+    def make():
+        rng = stream(6, dims.cone_len + d)
+        return rng, _mixed_columns(rng, dims, d), dims, ()
+    return make
+
+
+def _spd(rng, n: int) -> np.ndarray:
+    X = rng.standard_normal((n, n))
+    return X @ X.T + 0.1 * np.eye(n)
+
+
+def _design_terms(b, rng):
+    # -M'H in the off-diagonal block of an order-6 LMI (H 3 x 2), as in the
+    # design LMI, next to a full-rank lam column
+    lam, h = b.vars("lam", 1), b.vars("H", 6)
+    L = b.lmi(6)
+    full = np.zeros((6, 6))
+    full[:4, :4] = _spd(rng, 4)
+    L.term(lam[0], full)
+    U, V = np.zeros((6, 3)), np.zeros((6, 2))
+    U[:4] = -2.0 * rng.standard_normal((3, 4)).T
+    V[4:] = np.eye(2)
+    L.matrix_term(h, U, V)
+
+
+def _covariance_terms(b, rng):
+    # V Q V' for a symmetric Q, and Q >= 0 in a block of its own
+    q, t = b.vars("Q", svec_len(3)), b.vars("t", 1)
+    L = b.lmi(5)
+    L.matrix_term(q, *[rng.standard_normal((5, 3))] * 2)
+    L.term(t[0], _spd(rng, 5))
+    b.lmi(3).matrix_term(q, np.eye(3), np.eye(3))
+
+
+def _qs_terms(b, rng):
+    # [[w I, QS], [SQ, w I]]: a symmetric Q with U != V
+    w, q = b.vars("w", 1), b.vars("Q", svec_len(3))
+    L = b.lmi(6)
+    L.term(w[0], np.eye(6))
+    L.matrix_term(q, np.vstack([2 * np.eye(3), np.zeros((3, 3))]),
+                  np.vstack([np.zeros((3, 3)), _spd(rng, 3)]))
+
+
+def _phi_terms(b, rng):
+    # V Q V' - V0 Q V0' as two opposite-sign terms on the same columns,
+    # beside a slack G in the leading block and a noise column s
+    g, q, s = b.vars("G", svec_len(2)), b.vars("Q", svec_len(3)), b.vars("s", 1)
+    L = b.lmi(4)
+    E = np.eye(4)[:, :2]
+    L.matrix_term(g, E, E)
+    V = rng.standard_normal((4, 3))
+    V0 = np.vstack([V[:2], np.zeros((2, 3))])
+    L.matrix_term(q, V, V)
+    L.matrix_term(q, -V0, V0)
+    Es = np.zeros((4, 4))
+    Es[2:, 2:] = np.eye(2)
+    L.term(s[0], Es)
+
+
+def _robust_terms(b, rng):
+    # one H (2 x 2) in two terms of one order-6 block, and a dense mu column
+    h, mu = b.vars("H", 4), b.vars("mu", 1)
+    L = b.lmi(6)
+    V = np.zeros((6, 2))
+    V[2:4] = np.eye(2)
+    for rows in (slice(0, 2), slice(4, 6)):
+        U = np.zeros((6, 2))
+        U[rows] = -2.0 * rng.standard_normal((2, 2))
+        L.matrix_term(h, U, V)
+    Mm = np.zeros((6, 6))
+    Mm[4:, 4:] = np.eye(2)
+    L.term(mu[0], Mm)
+
+
+def _mixed_terms(b, rng):
+    # other cones beside the LMIs; eigen columns on both sides of the term
+    # columns (a non-contiguous eigen set), an all-zero column among them,
+    # and a rectangular and a symmetric term in one block
+    lam, h, unused, t, u = (b.vars(k, n) for k, n in
+                            (("lam", 2), ("H", 4), ("unused", 1), ("T", 3), ("u", 1)))
+    b.nonneg(lam)
+    b.ineq(np.concatenate([lam, u]), rng.uniform(0.5, 1.0, 3), 1.0)
+    soc = b.soc(6)
+    soc.set_row(0, [u[0]], [1.0], 1.0)
+    soc.set_triplets(np.arange(1, 5), h, np.full(4, 2.0))
+    L = b.lmi(5)
+    for col, n in ((lam[0], 3), (u[0], 5)):
+        F = np.zeros((5, 5))
+        F[:n, :n] = _spd(rng, n)
+        L.term(col, F)
+    U, V = np.zeros((5, 2)), np.zeros((5, 2))
+    U[:3, :] = -2.0 * rng.standard_normal((3, 2))
+    V[3:] = np.eye(2)
+    L.matrix_term(h, U, V)
+    E = np.eye(5)[:, :2]
+    L.matrix_term(t, E, E)
+    b.lmi(2).matrix_term(t, np.eye(2), np.eye(2))
+
+
+def _terms_case(build, seed: int):
+    def make():
+        rng = stream(6, 1000 + seed)
+        b = Builder()
+        build(b, rng)
+        b.vars("zero", 1)      # a column no block touches
+        prog = b.build()
+        _, G, _, dims = prog.lower()
+        return rng, G, dims, prog.lmi_terms()
+    return make
+
+
+GRAM_CASES = [
+    pytest.param(_columns_case(ConeDims(l=6), 5), id="orthant"),
+    pytest.param(_columns_case(ConeDims(q=(1, 7)), 9), id="soc"),
+    pytest.param(_columns_case(ConeDims(s=(5,)), 9), id="psd"),
+    pytest.param(_columns_case(ConeDims(s=(3, 6)), 12), id="two-psd"),
+    pytest.param(_columns_case(ConeDims(l=3, q=(4, 6), s=(2, 4)), 11), id="mixed"),
+    pytest.param(_columns_case(ConeDims(l=2, q=(5,), s=(4,)), PSD_CHUNK + 44), id="wide"),
+    pytest.param(_terms_case(_design_terms, 0), id="term-rectangular"),
+    pytest.param(_terms_case(_covariance_terms, 1), id="term-symmetric"),
+    pytest.param(_terms_case(_qs_terms, 2), id="term-symmetric-u-ne-v"),
+    pytest.param(_terms_case(_phi_terms, 3), id="term-opposite-signs"),
+    pytest.param(_terms_case(_robust_terms, 4), id="term-shared-variable"),
+    pytest.param(_terms_case(_mixed_terms, 5), id="term-mixed"),
 ]
 
 
-@pytest.mark.parametrize("dims, d", GRAM_DIMS)
-def test_factored_gram_matches_dense(dims, d):
-    # reference: W^{-T} G column by column, then its Gram
-    rng = stream(6, dims.cone_len + d)
-    G = _mixed_columns(rng, dims, d)
-    fac = ColumnFactors.of(G, dims)
+@pytest.mark.parametrize("make", GRAM_CASES)
+def test_factored_gram_matches_dense(make):
+    # reference: W^{-T} G column by column, then its Gram; matrix_term
+    # columns reach scale_G only through their recorded (U, V)
+    rng, G, dims, terms = make()
+    d = G.shape[1]
+    fac = ColumnFactors.of(G, dims, terms)
     for sc in (Scaling.identity(dims),
                Scaling.compute(dims, _interior(rng, dims), _interior(rng, dims))):
         Gs = np.column_stack([sc.apply(G[:, j], "winvt") for j in range(d)])
@@ -277,6 +396,48 @@ def test_factored_gram_matches_dense(dims, d):
         H = sc.scale_G(fac)
         assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
         assert not H[-1].any() and not H[:, -1].any()
+
+
+@pytest.mark.parametrize("p, q, k", [(3, 2, 6), (3, 3, 6), (1, 1, 1), (2, 3, 6)])
+def test_matrix_term_triplets(p, q, k):
+    # column j of the block is svec(sym(U E_j V')) over X's basis: row-major
+    # E_j for a p x q X, the svec basis when X is symmetric (k < p q)
+    rng = stream(9, 10 * p + q)
+    order = 5
+    U, V = rng.standard_normal((order, p)), rng.standard_normal((order, q))
+    U[1], V[3] = 0.0, 0.0
+    b = Builder()
+    x = b.vars("X", k)
+    b.lmi(order).matrix_term(x, U, V)
+    prog = b.build()
+    blk = prog.blocks[-1]
+    F = np.zeros((svec_len(order), k))
+    np.add.at(F, (blk.rows, blk.cols), blk.vals)
+    for j in range(k):
+        E = smat(np.eye(k)[j], p) if k < p * q else np.eye(k)[j].reshape(p, q)
+        M = U @ E @ V.T
+        np.testing.assert_allclose(F[:, j], svec(0.5 * (M + M.T)), rtol=1e-14, atol=1e-14)
+    (cols, Ur, Vr), = blk.terms
+    assert np.array_equal(cols, x) and np.array_equal(Ur, U) and np.array_equal(Vr, V)
+    # the engine sees G = -F and the factors with G's sign
+    _, G, _, _ = prog.lower()
+    np.testing.assert_array_equal(G[-svec_len(order):], -F)
+    (cols, Ug, Vg), = prog.lmi_terms()[0]
+    assert np.array_equal(Ug, -U) and np.array_equal(Vg, V)
+
+
+def test_matrix_term_rejects_bad_variables():
+    b = Builder()
+    x = b.vars("X", 5)
+    L = b.lmi(3)
+    with pytest.raises(ValueError, match="fit neither"):
+        L.matrix_term(x, np.eye(3)[:, :2], np.eye(3)[:, :2])
+    with pytest.raises(ValueError, match="distinct"):
+        L.matrix_term(x[[0, 0, 1]], np.eye(3)[:, :2], np.eye(3)[:, :2])
+    L.matrix_term(x[:3], np.eye(3)[:, :2], np.eye(3)[:, :2])
+    L.term(x[0], np.eye(3))
+    with pytest.raises(ValueError, match="other entries"):
+        b.build()
 
 
 @pytest.mark.parametrize("dims", [
