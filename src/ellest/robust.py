@@ -21,6 +21,10 @@ from .rng import stream
 from .s_risk import _add_srisk_objective, psd_weight
 from .solver import Builder, solve_or_raise
 
+# Entries of the (batch, n + nu, n + nu) stack of design LMIs that
+# verify_robust_feasibility eigen-solves at once: bounds its memory for any N.
+VERIFY_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class UncertaintyModel:
@@ -144,22 +148,37 @@ def verify_robust_feasibility(H: np.ndarray, lam: np.ndarray, tau: float,
     """Fraction of N sampled perturbations ||Delta|| <= r at which the design
     LMI stays positive semidefinite (eigenvalue >= -1e-7). Delta is a
     Gaussian matrix rescaled to spectral norm u*r with u uniform, except the
-    first draw which sits on the boundary u = 1 where feasibility binds."""
+    first draw which sits on the boundary u = 1 where feasibility binds.
+    Draw i comes from stream(seed, i); the spectral norms and the smallest
+    eigenvalues are taken over batches of draws (design_lmi_min_eig, one
+    draw at a time, gives the same fraction)."""
     if N < 1:
         raise ValueError("N must be at least 1")
     S = sym(np.asarray(S, dtype=float))
+    if um.r == 0.0 or not np.any(um.E) or not np.any(um.F):
+        # every draw is Delta = 0
+        return float(design_lmi_min_eig(H, lam, tau, um.A_star, um.B_star, S, ell) >= -1e-7)
     p, q = um.E.shape[0], um.F.shape[0]
+    n, m, nu = ell.n, um.m, um.nu
+    M0 = np.zeros((n + nu, n + nu))
+    M0[:n, :n] = np.einsum("k,kij->ij", lam, ell.S) + tau * S
+    M0[n:, n:] = np.eye(nu)
+    batch = max(1, VERIFY_ENTRIES // (n + nu) ** 2)
     good = 0
-    for i in range(N):
-        rng = stream(seed, i)
-        if um.r == 0.0 or not np.any(um.E) or not np.any(um.F):
-            Delta = np.zeros((p, q))
-        else:
-            G = rng.normal(size=(p, q))
-            nrm = np.linalg.norm(G, 2)
-            u = 1.0 if i == 0 else rng.uniform()
-            Delta = G * (u * um.r / nrm) if nrm > 0 else np.zeros((p, q))
-        Ap, Bp = um.perturbed(Delta)
-        if design_lmi_min_eig(H, lam, tau, Ap, Bp, S, ell) >= -1e-7:
-            good += 1
+    for lo in range(0, N, batch):
+        k = min(N, lo + batch) - lo
+        G, u = np.empty((k, p, q)), np.empty(k)
+        for j in range(k):
+            rng = stream(seed, lo + j)
+            G[j] = rng.normal(size=(p, q))
+            u[j] = 1.0 if lo + j == 0 else rng.uniform()
+        nrm = np.linalg.norm(G, 2, axis=(1, 2))
+        # a zero G (nrm = 0) gives Delta = 0
+        Delta = G * (u * um.r / np.where(nrm > 0, nrm, 1.0))[:, None, None]
+        shift = um.E.T @ Delta @ um.F
+        D = (um.B_star + shift[:, m:]) - H.T @ (um.A_star + shift[:, :m])
+        M = np.repeat(M0[None], k, axis=0)
+        M[:, :n, n:] = np.swapaxes(D, 1, 2)
+        M[:, n:, :n] = D
+        good += int(np.count_nonzero(np.linalg.eigvalsh(M)[:, 0] >= -1e-7))
     return good / N

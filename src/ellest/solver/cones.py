@@ -14,16 +14,21 @@ and one loop over it, Scaling.apply, applies W, W', W^{-1} or W^{-T} to a
 cone vector or to the columns of a (cone_len, k) array.
 
 The IPM's Schur block G'(W'W)^{-1}G is never built from a dense W^{-T}G.
-ColumnFactors splits G once per solve into per-block pieces: orthant rows, SOC
-rows with their constant G_b'JG_b, and for an LMI the factors (U, V) of the
-columns a matrix variable X fills as sym(U X V') plus low-rank eigenvector
-terms of every other column. Scaling.scale_G assembles the block from them
-each iteration: a diagonal weighting, a rank-2 update, and for an LMI the
-squared Gram of Y = R^{-1} Q summed over each column's terms (the low-rank
-data trick of DSDP, Benson, Ye, Zhang 2000), Kronecker products of the
-scaled factors for each pair of matrix-variable terms (the symmetric
-Kronecker product of Todd, Toh, Tutuncu 1998 for a symmetric X), and the
-products of the two between them.
+ColumnFactors splits G once per solve into per-block pieces: orthant rows,
+an SOC block's first row g0, the sparse rest of its rows and the nonzeros
+of its constant G_b'JG_b, and for an LMI the factors (U, V) of the columns a
+matrix variable X fills as sym(U X V') plus low-rank eigenvector terms of
+every other column. Scaling.scale_G assembles the block from them each
+iteration, in place in one buffer: a diagonal weighting; for an SOC block,
+which CVXOPT's conelp keeps in factored form as beta^2 (2 w w' - J), one
+BLAS rank-one update and a subtraction at the nonzeros of G_b'JG_b (a
+diagonal plus low-rank split of the SOC's columns, as in Goldfarb and
+Scheinberg's product-form Cholesky for SOCP); and for an LMI the squared
+Gram of Y = R^{-1} Q summed over each column's terms (the low-rank data
+trick of DSDP, Benson, Ye, Zhang 2000), Kronecker products of the scaled
+factors for each pair of matrix-variable terms (the symmetric Kronecker
+product of Todd, Toh, Tutuncu 1998 for a symmetric X), and the products of
+the two between them.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+from scipy.linalg.blas import dger
 
 from ..linalg import matrix_basis, safe_cholesky, smat, svec, svec_len
 
@@ -277,15 +284,21 @@ class Scaling:
                 out[off:off + ln] = svec(U / denom)
         return out
 
-    def scale_G(self, fac: "ColumnFactors") -> np.ndarray:
+    def scale_G(self, fac: "ColumnFactors", H: np.ndarray) -> np.ndarray:
         """Return G'(W'W)^{-1}G = (W^{-T}G)'(W^{-T}G), the Schur block of the
         KKT system, summed block by block from fac without forming W^{-T}G:
           * orthant: G_b' diag(d)^{-2} G_b;
           * SOC: (W_b'W_b)^{-1} = (2 u u' - J) / beta^2 with u = J wbar, so the
-            term is (2 v v' - C) / beta^2 with v = G_b'u;
+            term is (2 v v' - C) / beta^2 with v = G_b'u = wbar_0 g0 - G~'wbar_1:
+            a rank-one update in place, then C subtracted at its nonzeros;
           * PSD: Tr(G_i P G_j P) with P = Rinv'Rinv, see _lmi_schur.
+        H, a C-ordered (d, d) array (the SOC update writes to its rows in
+        place), is zero-filled, assembled into and returned.
         """
-        H = np.zeros((fac.d, fac.d))
+        d = fac.d
+        if H.shape != (d, d) or not H.flags.c_contiguous:
+            raise ValueError(f"H must be a C-ordered {(d, d)} array")
+        H.fill(0.0)
         for (kind, *_), blk, fb in zip(self.dims.blocks(), self.blocks, fac.blocks):
             if fb is None:
                 continue
@@ -294,10 +307,15 @@ class Scaling:
                 Gd = Gb / blk[:, None]
                 H[span, span] += Gd.T @ Gd
             elif kind == "q":
-                span, Gb, C = fb
+                span, g0, Gt, (rows, cols, C) = fb
                 beta, wbar = blk
-                v = wbar[0] * Gb[0] - wbar[1:] @ Gb[1:]
-                H[span, span] += (2.0 * np.outer(v, v) - C) / (beta * beta)
+                v = wbar[0] * g0 - Gt @ wbar[1:]
+                x = np.zeros(d)
+                x[span] = v
+                # H[span, :] += (2 / beta^2) v x' as a rank-one update of the
+                # F-ordered transpose of those rows, in place
+                dger(2.0 / (beta * beta), x, v, a=H[span].T, overwrite_a=True)
+                H[rows, cols] -= C / (beta * beta)
             else:
                 _lmi_schur(H, blk[1], *fb)
         return H
@@ -313,7 +331,10 @@ class ColumnFactors:
     block's first nonzero column to its last, and goes on with, for
     G_b = G[block, span]:
       * orthant: G_b;
-      * SOC: G_b and C = G_b' J G_b with J = diag(1, -1, ..., -1).
+      * SOC: its first row g0, the rest G~ as a CSR G~' and
+        (rows, cols, vals), the nonzeros of C = G_b' J G_b = g0 g0' - G~'G~
+        (J = diag(1, -1, ..., -1)) at their rows and columns of the Schur
+        block. Both come from sparse products: an epigraph's C is diagonal.
     An LMI entry is (eig, terms, F) from _lmi_factors.
     """
 
@@ -342,10 +363,13 @@ class ColumnFactors:
             Gb = Gb[:, span]
             if kind == "l":
                 blocks.append((span, Gb))
-            else:
-                JG = Gb.copy()
-                JG[1:] *= -1.0
-                blocks.append((span, Gb, Gb.T @ JG))
+                continue
+            g0 = scipy.sparse.csr_array(Gb[:1])
+            Gt = scipy.sparse.csr_array(Gb[1:].T)
+            C = scipy.sparse.coo_array(g0.T @ g0 - Gt @ Gt.T)
+            nz = C.data != 0
+            blocks.append((span, Gb[0].copy(), Gt,
+                           (C.row[nz] + span.start, C.col[nz] + span.start, C.data[nz])))
         return cls(G.shape[1], blocks)
 
 

@@ -20,9 +20,11 @@ G'(W'W)^{-1}G, assembled per cone block from factors of G's columns that are
 computed once per solve (cones.ColumnFactors, Scaling.scale_G): no dense
 W^{-T}G is formed. LMI columns that a matrix variable fills by a fixed
 congruence arrive as terms (U, V) and get Kronecker-product Schur blocks;
-the other LMI columns are eigendecomposed. The Schur block is dense and
-LU-factored. Everything else multiplies by G in sparse (CSR) form: the
-residuals, the certificate checks and the KKT solves.
+the other LMI columns are eigendecomposed; an SOC block adds a rank-one
+update and its sparse constant part. The Schur block is dense, assembled
+into one buffer per solve and LU-factored in place; a regularised retry
+assembles it again. Everything else multiplies by G in sparse (CSR) form:
+the residuals, the certificate checks and the KKT solves.
 """
 
 from __future__ import annotations
@@ -69,38 +71,46 @@ class ConicSolution:
 class _KKT:
     """The KKT system of one solve, factored once per iteration.
 
-    The Schur block G'(W'W)^{-1}G comes from G's column factors. The solves
-    work in the scaled frame, W^{-T} first and W^{-1} on the difference, and
-    multiply by G in sparse form: G is mostly zeros in the programs of this
-    package."""
+    The Schur block G'(W'W)^{-1}G comes from G's column factors and is
+    assembled into one C-ordered d x d buffer allocated per solve. Its
+    transpose, F-ordered, is LU-factored in place, so the solves ask for the
+    transposed system (trans=1): exact whether or not the assembled block is
+    bitwise symmetric. The solves work in the scaled frame, W^{-T} first and
+    W^{-1} on the difference, and multiply by G in sparse form: G is mostly
+    zeros in the programs of this package."""
 
     def __init__(self, G, dims: ConeDims, terms=()):
         self.G = scipy.sparse.csr_array(G)
-        self.Gt = scipy.sparse.csr_array(G.T)
+        self.Gt = self.G.T.tocsr()
         self.fac = ColumnFactors.of(G, dims, terms)
+        self.M = np.empty((G.shape[1], G.shape[1]))
 
     def factor(self, scaling: Scaling) -> None:
         self.scaling = scaling
-        M = scaling.scale_G(self.fac)
-        scale = max(np.abs(M).max(), 1.0)
         for reg in (0.0, 1e-12, 1e-9, 1e-6):
-            Mr = M + reg * scale * np.eye(len(M)) if reg else M
+            # assembled again on every rung: a failed LU has overwritten it
+            M = scaling.scale_G(self.fac, self.M)
+            if reg:
+                M.flat[::len(M) + 1] += reg * max(np.abs(M).max(), 1.0)
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                    self.lu = scipy.linalg.lu_factor(Mr)
-                # lu_factor tolerates exact singularity; probe it.
-                if not np.all(np.isfinite(self.lu[0])) or np.abs(np.diag(self.lu[0])).min() < 1e-300:
-                    continue
-                return
+                    self.lu = scipy.linalg.lu_factor(M.T, overwrite_a=True, check_finite=False)
             except (scipy.linalg.LinAlgError, ValueError):
                 continue
+            # lu_factor tolerates exact singularity and non-finite input; probe it.
+            lu = self.lu[0]
+            if np.all(np.isfinite(lu)) and np.abs(np.diag(lu)).min() >= 1e-300:
+                return
         raise np.linalg.LinAlgError("KKT system is singular")
 
     def _solve_once(self, bx, bz):
         W = self.scaling
         bz_s = W.apply(bz, "winvt")
-        u = scipy.linalg.lu_solve(self.lu, bx + self.Gt @ W.apply(bz_s, "winv"))
+        rhs = bx + self.Gt @ W.apply(bz_s, "winv")
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("non-finite KKT right-hand side")
+        u = scipy.linalg.lu_solve(self.lu, rhs, trans=1, overwrite_b=True, check_finite=False)
         w = W.apply(W.apply(self.G @ u, "winvt") - bz_s, "winv")
         return u, w
 

@@ -14,6 +14,7 @@ from ellest import (
     build_srisk_estimate,
     verify_robust_feasibility,
 )
+from ellest import robust
 from ellest.rng import stream
 
 ELL1 = Ellitope.ellipsoid(np.array([[1.0]]))
@@ -64,6 +65,42 @@ def test_sampled_feasibility():
     fn = verify_robust_feasibility(nom.H, nom.lam, nom.tau, um, S0, ELL1,
                                    N=500, seed=7)
     assert fn < 1.0
+
+
+def _single_draw_fraction(H, lam, tau, um, S, ell, N, seed):
+    # verify_robust_feasibility one draw at a time, through design_lmi_min_eig
+    p, q = um.E.shape[0], um.F.shape[0]
+    good = 0
+    for i in range(N):
+        rng = stream(seed, i)
+        Delta = np.zeros((p, q))
+        if um.r > 0:
+            G = rng.normal(size=(p, q))
+            u = 1.0 if i == 0 else rng.uniform()
+            Delta = G * (u * um.r / np.linalg.norm(G, 2))
+        Ap, Bp = um.perturbed(Delta)
+        good += robust.design_lmi_min_eig(H, lam, tau, Ap, Bp, S, ell) >= -1e-7
+    return good / N
+
+
+@pytest.mark.parametrize("r", [0.5, 0.0])
+def test_batched_feasibility_matches_single_draws(monkeypatch, r):
+    # a design made robust to radius 0.25 holds at some draws of radius 0.5
+    # and fails at others; batches of 7 draws, so N = 60 ends in a partial
+    # batch
+    rng = stream(51, 2)
+    n, m, nu, p, q = 3, 3, 2, 2, 2
+    ell = Ellitope.coordinate_box(np.array([1.0, 0.5, 2.0]))
+    A, B = rng.normal(size=(m, n)), rng.normal(size=(nu, n))
+    E, F = rng.normal(size=(p, m + nu)) * 0.3, rng.normal(size=(q, n)) * 0.3
+    S = np.diag([0.1, 0.2, 0.05])
+    H, lam, _, opt = build_robust_estimate(UncertaintyModel(A, B, E, F, 0.25), 0.5, S, ell)
+    monkeypatch.setattr(robust, "VERIFY_ENTRIES", 7 * (n + nu) ** 2)
+    args = (H, lam, opt, UncertaintyModel(A, B, E, F, r), S, ell)
+    frac = verify_robust_feasibility(*args, N=60, seed=4)
+    assert frac == _single_draw_fraction(*args, N=60, seed=4)
+    if r:
+        assert 0.0 < frac < 1.0
 
 
 def test_value_monotone_in_radius():

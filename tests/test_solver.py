@@ -1,13 +1,16 @@
 """Conic engine: hand-checkable programs, random LPs against scipy,
 infeasibility certificates, and the Builder front end."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linprog
 
 from ellest.linalg import smat, svec, svec_len
 from ellest.rng import stream
-from ellest.solver import Builder, SolverError, solve, solve_or_raise
+from ellest.solver import Builder, SolverError, ipm, solve, solve_or_raise
 from ellest.solver.cones import PSD_CHUNK, ColumnFactors, ConeDims, Scaling
 from ellest.solver.ipm import _KKT, conelp
 
@@ -389,13 +392,20 @@ def test_factored_gram_matches_dense(make):
     rng, G, dims, terms = make()
     d = G.shape[1]
     fac = ColumnFactors.of(G, dims, terms)
-    for sc in (Scaling.identity(dims),
-               Scaling.compute(dims, _interior(rng, dims), _interior(rng, dims))):
+    scalings = (Scaling.identity(dims),
+                Scaling.compute(dims, _interior(rng, dims), _interior(rng, dims)))
+    # one buffer, assembled into under each scaling after the other one (both
+    # orders), must hold what a fresh assembly gives: a stale entry or a
+    # missed zero-fill would show (it starts as NaN)
+    buf = np.full((d, d), np.nan)
+    for sc in scalings + scalings[::-1]:
         Gs = np.column_stack([sc.apply(G[:, j], "winvt") for j in range(d)])
         H_ref = Gs.T @ Gs
-        H = sc.scale_G(fac)
+        H = sc.scale_G(fac, np.empty((d, d)))
         assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
         assert not H[-1].any() and not H[:, -1].any()
+        assert sc.scale_G(fac, buf) is buf
+        assert np.abs(buf - H).max() <= 1e-12 * np.abs(H).max()
 
 
 @pytest.mark.parametrize("p, q, k", [(3, 2, 6), (3, 3, 6), (1, 1, 1), (2, 3, 6)])
@@ -466,3 +476,72 @@ def test_kkt_solve_matches_dense_saddle(dims):
     cols = [np.concatenate(kkt.solve(B[0][:, j], B[1][:, j])) for j in range(2)]
     np.testing.assert_allclose(np.concatenate(kkt.solve(*B)), np.column_stack(cols),
                                rtol=1e-12, atol=1e-12)
+
+
+def _count_lu(monkeypatch) -> Counter:
+    """Count the lu_factor and lu_solve calls that ipm makes through its
+    scipy global, the way the benchmark wraps them to time the KKT."""
+    counts = Counter()
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    class Proxy:
+        def __init__(self, module, **overrides):
+            self.module, self.overrides = module, overrides
+
+        def __getattr__(self, name):
+            return self.overrides.get(name) or getattr(self.module, name)
+
+    la = scipy.linalg
+    monkeypatch.setattr(ipm, "scipy", Proxy(scipy, linalg=Proxy(
+        la, lu_factor=counted(la.lu_factor), lu_solve=counted(la.lu_solve))))
+    return counts
+
+
+def test_kkt_factor_and_solves_go_through_scipy_linalg(monkeypatch):
+    # the benchmark's KKT factor and solve times wrap these calls: every
+    # factorization (the start and one per iteration) must be one of them
+    counts = _count_lu(monkeypatch)
+    res = conelp(np.array([1.0]), -svec(np.eye(2)).reshape(-1, 1),
+                 svec(np.array([[0.0, 3.0], [3.0, 0.0]])), ConeDims(s=(2,)))
+    assert res.is_optimal and res.iterations > 0
+    assert counts["lu_factor"] >= res.iterations + 1
+    assert counts["lu_solve"] > 0
+
+
+def test_kkt_regularises_a_zero_column(monkeypatch):
+    # an all-zero column makes the Schur block singular, so the first LU
+    # fails; the failed LU has overwritten the block, so the regularised
+    # retry must assemble it again. With bx = 0 at that column the solve is
+    # the saddle solve of the other columns.
+    dims = ConeDims(l=3, q=(4, 6), s=(2, 4))
+    rng = stream(8, 1 + dims.cone_len)
+    d, zero = 8, 3
+    G = _mixed_columns(rng, dims, d + 1)[:, :d]
+    G[:, zero] = 0.0
+    keep = np.arange(d) != zero
+    sc = Scaling.compute(dims, _interior(rng, dims), _interior(rng, dims))
+    m = dims.cone_len
+    WtW = sc.apply(sc.apply(np.eye(m), "w"), "wt")
+    K = np.block([[np.zeros((d - 1, d - 1)), G[:, keep].T], [G[:, keep], -WtW]])
+    bx, bz = rng.standard_normal(d), rng.standard_normal(m)
+    bx[zero] = 0.0
+    ref = np.linalg.solve(K, np.concatenate([bx[keep], bz]))
+    counts = _count_lu(monkeypatch)
+    kkt = _KKT(G, dims)
+    kkt.factor(sc)
+    assert counts["lu_factor"] == 2
+    u, w = kkt.solve(bx, bz)
+    got = np.concatenate([u[keep], w])
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_kkt_rejects_a_nan_scaling():
+    dims = ConeDims(l=3)
+    sc = Scaling(dims, [np.array([1.0, np.nan, 1.0])], dims.identity())
+    with pytest.raises(np.linalg.LinAlgError, match="KKT system is singular"):
+        _KKT(np.eye(3), dims).factor(sc)
