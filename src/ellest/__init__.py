@@ -8,40 +8,21 @@ quadratic-maximization companions, all on top of a self-contained dense
 conic interior-point solver.
 """
 
-from .ellitope import (
-    Ellitope,
-    TSet,
-    direct_product,
-    intersect,
-    inverse_image,
-)
+from .ellitope import Ellitope, TSet, direct_product, intersect, inverse_image
 from .estimator import (
     EstimationProblem,
-    LinearEstimate,
     apply,
     build_linear_estimate,
     empirical_risk,
     exact_risk_on_ellipsoid,
     worst_case_signal,
 )
-from .experiments import (
-    PendulumProblem,
-    ScenarioConfig,
-    ExperimentRecord,
-    build_pendulum_problem,
-    gen_random_rotated_A,
-    run_pendulum_experiment,
-    run_suboptimality_experiment,
-)
-from .io import read_ellitope, read_matrix, write_ellitope, write_matrix
+from .experiments import run_pendulum_experiment, run_suboptimality_experiment
+from .io import read_ellitope, write_ellitope, write_matrix
 from .lower_bound import (
     CONTRACTION,
     PARALLELOTOPE,
     QUADRATIC_APPROX,
-    RHO_FAMILY,
-    BayesianSolution,
-    FactorEstimate,
-    LowerBoundReport,
     best_refined_lower_bound,
     chi2_tail_bound,
     delta_rho,
@@ -57,7 +38,6 @@ from .lower_bound import (
 )
 from .robust import UncertaintyModel, build_robust_estimate, verify_robust_feasibility
 from .s_risk import (
-    SRiskEstimate,
     SRiskProblem,
     build_srisk_estimate,
     optimize_S_bisection,
@@ -65,44 +45,27 @@ from .s_risk import (
     whole_space_estimate,
 )
 from .sdp_relaxation import (
-    RelaxationResult,
     check_rademacher_moment,
     factor_bound,
     relax_quadratic_max,
     round_rademacher,
     solve_and_round,
 )
-from .solver import Builder, ConicProgram, ConicSolution, SolverError, solve, solve_or_raise
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BayesianSolution",
-    "Builder",
     "CONTRACTION",
-    "ConicProgram",
-    "ConicSolution",
     "Ellitope",
     "EstimationProblem",
-    "ExperimentRecord",
-    "FactorEstimate",
-    "LinearEstimate",
-    "LowerBoundReport",
     "PARALLELOTOPE",
-    "PendulumProblem",
     "QUADRATIC_APPROX",
-    "RHO_FAMILY",
-    "RelaxationResult",
-    "SRiskEstimate",
     "SRiskProblem",
-    "ScenarioConfig",
-    "SolverError",
     "TSet",
     "UncertaintyModel",
     "apply",
     "best_refined_lower_bound",
     "build_linear_estimate",
-    "build_pendulum_problem",
     "build_robust_estimate",
     "build_srisk_estimate",
     "check_rademacher_moment",
@@ -113,7 +76,6 @@ __all__ = [
     "exact_risk_on_ellipsoid",
     "factor_bound",
     "gaussian_quantile",
-    "gen_random_rotated_A",
     "intersect",
     "inverse_image",
     "lower_bound_rho_family",
@@ -122,7 +84,6 @@ __all__ = [
     "optimize_S_bisection",
     "phi_gauss",
     "read_ellitope",
-    "read_matrix",
     "refined_lower_bound",
     "relax_quadratic_max",
     "rho_of_delta",
@@ -130,10 +91,8 @@ __all__ = [
     "run_pendulum_experiment",
     "run_suboptimality_experiment",
     "simplified_factor",
-    "solve",
     "solve_and_round",
     "solve_bayesian_sdp",
-    "solve_or_raise",
     "srisk_lower_bound",
     "verify_robust_feasibility",
     "whole_space_estimate",

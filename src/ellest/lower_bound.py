@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .ellitope import BOX, SEGMENT, Ellitope, add_tset_cone
+from .ellitope import BOX, SEGMENT, Ellitope, add_support_epigraph, add_tset_cone
 from .estimator import EstimationProblem, build_linear_estimate
 from .linalg import (
     min_eig,
@@ -235,21 +235,36 @@ def solve_bayesian_sdp(prob: EstimationProblem, *,
 
 
 def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope, tol_gap: float):
-    """max Tr(CQ) over Q >= 0 with Tr(QS_k) <= t_k, t in T, for symmetric C.
-    Returns (value, Q, t)."""
+    """max Tr(CQ) over Q >= 0 with Tr(QS_k) <= t_k, t in T, for symmetric C,
+    through its dual min phi_T(lam) s.t. sum lam_k S_k >= C, lam >= 0.
+    Returns (value, Q, t): the dual value; the LMI's multiplier, clipped to
+    PSD and scaled into the set; its loads pushed onto the boundary of T.
+    Tr(CQ) must match the value to a relative 1e-6."""
     n = ell.n
     b = Builder()
-    q = b.vars("Q", svec_len(n))
-    b.objective(q, -svec(C))
-    b.lmi(n).matrix_term(q, np.eye(n), np.eye(n))
-    _add_q_in_script_q(b, ell, q)
-    prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap)
-    return -float(sol.pobj), smat(sol.var(prog, "Q"), n), sol.var(prog, "t").copy()
+    lam = b.vars("lam", ell.K)
+    b.nonneg(lam)
+    add_support_epigraph(b, ell.tset, lam)
+    L = b.lmi(n)
+    L.const(-C)
+    for k in range(ell.K):
+        L.term(lam[k], ell.S[k])
+    sol = solve_or_raise(b.build(), tol_gap=tol_gap)
+    val = float(sol.pobj)
+    R = psd_sqrt(smat(sol.z[-svec_len(n):], n))   # the LMI block is last in z
+    Q = R @ R
+    loads = np.einsum("kij,ji->k", ell.S, Q)
+    gam = ell.tset.boundary_scale(loads)
+    Q *= min(gam, 1.0)
+    t = gam * loads if np.isfinite(gam) else loads
+    if abs(float(np.sum(C * Q)) - val) > 1e-6 * (1.0 + abs(val)):
+        raise AssertionError(f"duality gap: Tr(CQ) = {np.sum(C * Q)} vs dual {val}")
+    return val, Q, t
 
 
 def m_star(B: np.ndarray, ell: Ellitope, *, tol_gap: float = 1e-8) -> float:
-    """sqrt(max Tr(BQB') over Q >= 0 with Tr(QS_k) <= t_k, t in T)."""
+    """sqrt(max Tr(BQB') over Q >= 0 with Tr(QS_k) <= t_k, t in T), from
+    one solve of its dual in K variables; independent of sigma."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if not np.any(B):
         return 0.0

@@ -91,16 +91,16 @@ def build_robust_estimate(um: UncertaintyModel, sigma: float, S: np.ndarray,
         [ 0                                    E_B - E_A H   mu I_p     ]  >= 0
 
     plus sigma^2 Tr(H'H) + phi_T(lam) <= tau. Returns (H, lam, mu, rob_opt).
-    With a vanishing uncertainty channel (E = 0 or F = 0) the border is empty
-    and there is no mu: this is the nominal S-risk design program, and mu = 0
-    is returned."""
+    With a vanishing uncertainty channel (r = 0, E = 0 or F = 0) the border
+    is empty and there is no mu: this is the nominal S-risk design program,
+    and mu = 0 is returned."""
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be a finite positive number, got {sigma}")
     A, B = um.A_star, um.B_star
     m, n, nu = um.m, um.n, um.nu
     if ell.n != n:
         raise ValueError(f"A and B must have n = {ell.n} columns, got {n}")
-    p = um.E.shape[0] if np.any(um.E) and np.any(um.F) else 0
+    p = um.E.shape[0] if um.r > 0 and np.any(um.E) and np.any(um.F) else 0
     S = psd_weight(S, n)
     b = Builder()
     tau, h, lam = _add_srisk_objective(b, sigma, m, nu, ell.tset)

@@ -1,10 +1,12 @@
 """Semidefinite relaxation of quadratic maximization over an ellitope.
 
 max x'Cx over the ellitope is NP-hard in general; replacing xx' by a matrix
-variable Q in the admissible covariance set gives a tractable upper bound,
-and randomized Rademacher rounding recovers a feasible point losing at most
-a factor 4 ln(5K). The rounding has a sharp structure: for any sign vector
-xi, the candidate y = Q^(1/2) U xi / sqrt(s_*) satisfies y'Cy = opt/s_*
+variable Q in the admissible covariance set gives a tractable upper bound.
+It is solved once, as its dual min phi_T(lam) s.t. sum lam_k S_k >= C (one
+order-n LMI in K variables), and Q is read off the LMI's multiplier.
+Randomized Rademacher rounding recovers a feasible point losing at most a
+factor 4 ln(5K). The rounding has a sharp structure: for any sign vector
+xi, the candidate y = Q^(1/2) U xi / sqrt(s_*) satisfies y'Cy = Tr(CQ)/s_*
 exactly (U diagonalizes the conjugated objective), so all the randomness
 does is hunt for a candidate that lands inside the set.
 """
@@ -17,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellitope import Ellitope, add_support_epigraph
+from .ellitope import Ellitope
 from .linalg import psd_sqrt, sym
 from .lower_bound import _max_trace_over_covariances
 from .rng import stream
-from .solver import Builder, solve_or_raise
 
 
 @dataclass(frozen=True)
@@ -55,31 +56,16 @@ def solve_and_round(C: np.ndarray, ell: Ellitope, *, seed: int = 0,
 def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *, tol_gap: float = 1e-8):
     """Upper bound max Tr(CQ) over Q >= 0, Tr(QS_k) <= t_k, t in T.
 
-    Cross-checked against the dual min phi_T(lam) s.t. sum lam_k S_k >= C,
-    whose value must agree to a relative 1e-6. Returns (opt, Q_star, t_star)."""
+    One solve of the dual min phi_T(lam) s.t. sum lam_k S_k >= C gives the
+    value; Q_star is the multiplier of its LMI, scaled into the set, and
+    Tr(C Q_star) must agree with the value to a relative 1e-6. Returns
+    (opt, Q_star, t_star)."""
     C = np.asarray(C, dtype=float)
     if C.shape != (ell.n, ell.n):
         raise ValueError(f"C must be {ell.n}x{ell.n}, got shape {C.shape}")
     if np.max(np.abs(C - C.T)) > 1e-12 * (1.0 + np.max(np.abs(C))):
         warnings.warn("C is not symmetric; using its symmetric part")
-    C = sym(C)
-    opt, Q, t = _max_trace_over_covariances(C, ell, tol_gap)
-
-    bd = Builder()
-    lam = bd.vars("lam", ell.K)
-    bd.nonneg(lam)
-    add_support_epigraph(bd, ell.tset, lam)
-    L = bd.lmi(ell.n)
-    L.const(-C)
-    for k in range(ell.K):
-        L.term(lam[k], ell.S[k])
-    dprog = bd.build()
-    dsol = solve_or_raise(dprog, tol_gap=tol_gap)
-    dval = float(dsol.pobj)
-    if abs(dval - opt) > 1e-6 * (1.0 + abs(opt)):
-        raise AssertionError(
-            f"relaxation duality gap: primal {opt} vs dual {dval}")
-    return opt, Q, t
+    return _max_trace_over_covariances(sym(C), ell, tol_gap)
 
 
 def _boundary_multiplier(ell: Ellitope, y: np.ndarray) -> float:

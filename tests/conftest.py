@@ -62,5 +62,21 @@ def _run_in_tmp_path(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def conelp_calls(monkeypatch):
+    """Record every conic solve started through ellest.solver.program (the
+    calls still run)."""
+    import ellest.solver.program as program
+
+    calls, real = [], program.conelp
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(program, "conelp", recorded)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return stream(20260819)

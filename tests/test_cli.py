@@ -44,21 +44,6 @@ def inst(tmp_path):
     return paths
 
 
-@pytest.fixture
-def conelp_calls(monkeypatch):
-    """Record every conic solve the command starts (calls still run)."""
-    import ellest.solver.program as program
-
-    calls, real = [], program.conelp
-
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(program, "conelp", recorded)
-    return calls
-
-
 def read_report(path) -> dict:
     with open(path) as fp:
         return json.load(fp)

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from ellest import experiments
 from ellest.experiments import (
     BOX,
     ELLIPSOID,
@@ -131,11 +132,19 @@ def test_scenario_config_validation():
 
 # --- runs ---
 
-def test_suboptimality_run_small(tmp_path):
+def test_suboptimality_run_small(tmp_path, monkeypatch):
+    calls, real = [], experiments.m_star
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(experiments, "m_star", counted)
     cfg = ScenarioConfig(scenario=ELLIPSOID, n_grid=(8,),
                          sigma_grid=(0.05, 0.25), out_dir=str(tmp_path))
     records = run_suboptimality_experiment(cfg)
     assert len(records) == 2
+    assert len(calls) == 1                   # m_star does not depend on sigma
     for rec in records:
         assert rec.error is None
         assert rec.sandwich_ok()
@@ -153,6 +162,15 @@ def test_suboptimality_run_small(tmp_path):
     meta = json.loads((tmp_path / "ellipsoid.json").read_text())
     assert meta["n_records"] == 2
     assert meta["errors"] == []
+
+
+def test_failed_m_star_marks_every_sigma_row(monkeypatch):
+    def fail(*a, **kw):
+        raise RuntimeError("no m_star")
+    monkeypatch.setattr(experiments, "m_star", fail)
+    cfg = ScenarioConfig(scenario=BOX, n_grid=(4,), sigma_grid=(0.1, 0.2))
+    records = run_suboptimality_experiment(cfg)
+    assert [rec.error for rec in records] == ["RuntimeError: no m_star"] * 2
 
 
 def test_csv_byte_determinism(tmp_path):

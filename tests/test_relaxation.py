@@ -1,7 +1,8 @@
 """Semidefinite relaxation of quadratic maximization over an ellitope:
 tightness on ellipsoids, the 4 ln(5K) approximation window against a
-brute-force vertex oracle on boxes, randomized rounding, and the
-sign-vector moment inequality behind the rounding guarantee."""
+brute-force vertex oracle on boxes, randomized rounding, the sign-vector
+moment inequality behind the rounding guarantee, and the one dual solve
+that gives the relaxation value, its covariance and m_star."""
 
 import itertools
 import math
@@ -11,13 +12,18 @@ import pytest
 
 from ellest import (
     Ellitope,
+    TSet,
     check_rademacher_moment,
     factor_bound,
+    m_star,
     relax_quadratic_max,
     round_rademacher,
     solve_and_round,
 )
+from ellest.ellitope import add_tset_cone
+from ellest.linalg import svec, svec_len
 from ellest.rng import stream
+from ellest.solver import Builder, solve_or_raise
 
 
 def test_constraint_matrix_objective():
@@ -128,3 +134,56 @@ def test_solve_and_round_wrapper():
     assert ell.contains(res.x_hat, tol=1e-9)
     assert res.details["factor_bound"] == pytest.approx(factor_bound(ell.K))
     assert res.trials_used >= 1
+
+
+def _covariance_primal(C, ell):
+    """Reference value of max Tr(CQ) over Q >= 0, Tr(QS_k) <= t_k, t in T,
+    solved as the program in (Q, t)."""
+    n = ell.n
+    b = Builder()
+    q, t = b.vars("Q", svec_len(n)), b.vars("t", ell.K)
+    b.objective(q, -svec(C))
+    b.lmi(n).matrix_term(q, np.eye(n), np.eye(n))
+    for k in range(ell.K):
+        b.ineq(np.append(q, t[k]), np.append(svec(ell.S[k]), -1.0), 0.0)
+    add_tset_cone(b, ell.tset, t)
+    return -solve_or_raise(b.build()).pobj
+
+
+def _instance(tset, seed):
+    rng = stream(61, 4, seed)
+    n = 6
+    S = np.empty((tset.K, n, n))
+    for k in range(tset.K):
+        G = rng.normal(size=(n, n // 2))
+        S[k] = G @ G.T
+    S[0] += 0.1 * np.eye(n)
+    G = rng.normal(size=(n, n))
+    return Ellitope(n, S, tset), G + G.T, rng.normal(size=(4, n))
+
+
+TSETS = [TSet.unit_box(3), TSet.pnorm_ball(3, 2.0), TSet.pnorm_ball(3, 4.0)]
+
+
+@pytest.mark.parametrize("tset", TSETS, ids=["box", "p2", "p4"])
+def test_covariance_from_the_dual_multiplier(tset):
+    ell, C, B = _instance(tset, 0)
+    opt, Q, t = relax_quadratic_max(C, ell)
+    assert np.linalg.eigvalsh(Q)[0] >= -1e-12
+    loads = np.einsum("kij,ji->k", ell.S, Q)
+    assert tset.contains(loads) and tset.contains(t)
+    assert np.all(t >= loads - 1e-12)
+    assert abs(np.sum(C * Q) - opt) <= 1e-6 * (1.0 + abs(opt))
+    ref = _covariance_primal(C, ell)
+    assert opt == pytest.approx(ref, rel=1e-6)
+    assert m_star(B, ell) ** 2 == pytest.approx(_covariance_primal(B.T @ B, ell), rel=1e-6)
+
+
+def test_one_solve_in_k_variables(conelp_calls):
+    ell, C, B = _instance(TSETS[2], 1)
+    relax_quadratic_max(C, ell)
+    assert len(conelp_calls) == 1
+    m_star(B, ell)
+    assert len(conelp_calls) == 2
+    # (c, G, h, dims): K multipliers and the epigraph of phi_T
+    assert [len(call[0]) for call in conelp_calls] == [ell.K + 1] * 2

@@ -15,6 +15,7 @@ from ellest import (
     verify_robust_feasibility,
 )
 from ellest import robust
+from ellest.experiments import gen_random_rotated_A
 from ellest.rng import stream
 
 ELL1 = Ellitope.ellipsoid(np.array([[1.0]]))
@@ -32,6 +33,23 @@ def test_zero_radius_equals_nominal():
     um = UncertaintyModel(A1, B1, np.array([[1.0, 1.0]]), np.array([[1.0]]), 0.0)
     _, _, _, opt = build_robust_estimate(um, 1.0, S0, ELL1)
     assert opt == pytest.approx(nominal_tau(), rel=1e-6)
+
+
+@pytest.mark.parametrize("S1", [np.diag(np.arange(1.0, 17.0) ** 2), np.eye(16)],
+                         ids=["weighted", "identity"])
+def test_zero_radius_nonzero_channel_is_the_nominal_program(S1):
+    # at r = 0, mu would enter only as mu I_p, its optimum reached only as
+    # mu -> infinity; the channel must vanish instead
+    rng = stream(51, 3)
+    n, p, sigma = 16, 4, 0.05
+    ell = Ellitope.ellipsoid(S1)
+    A, B, S = gen_random_rotated_A(n, seed=3), np.eye(n), np.zeros((n, n))
+    um = UncertaintyModel(A, B, 0.2 * rng.normal(size=(p, 2 * n)),
+                          0.2 * rng.normal(size=(p, n)), 0.0)
+    _, _, mu, opt = build_robust_estimate(um, sigma, S, ell)
+    assert mu == 0.0
+    assert opt == build_srisk_estimate(
+        SRiskProblem(EstimationProblem(A, B, sigma, ell), S)).tau
 
 
 def test_zero_left_factor_trivial_path():
