@@ -7,7 +7,13 @@ blocks stored in svec form (see linalg.svec).
 Scaling conventions: W is the NT scaling with lambda = W z = W^{-T} s for
 strictly interior s, z. For the nonneg orthant W is diagonal, for SOC blocks it
 is a hyperbolic Householder-like symmetric matrix applied in O(dim), and for
-PSD blocks it acts by congruence, W v = svec(R^T mat(v) R).
+PSD blocks it acts by congruence, W v = svec(R^T mat(v) R). There
+lambda = diag(sigma) = Lambda, so T_s = Lambda^{-1/2} Rinv and
+T_z = Lambda^{-1/2} R' map S and Z to I, and max_step finds where
+s + alpha ds or z + alpha dz leaves the cone from the eigenvalues of
+T_s DS T_s' or T_z DZ T_z' (as CVXOPT's conelp steps from the scaled point):
+Scaling.compute forms both frames once per iteration, so the step length
+factors neither s nor z.
 
 Scaling holds one list of per-block factors aligned with ConeDims.blocks(),
 and one loop over it, Scaling.apply, applies W, W', W^{-1} or W^{-T} to a
@@ -111,13 +117,17 @@ def cone_margin(dims: ConeDims, v: np.ndarray) -> float:
     return m if m != np.inf else 0.0
 
 
-def max_step(dims: ConeDims, x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha >= 0 such that x + alpha*dx stays in the cone.
+def max_step(scaling: "Scaling", x: np.ndarray, dx: np.ndarray, side: str) -> float:
+    """Largest alpha >= 0 such that x + alpha*dx stays in the cone, for the
+    iterate x = s (side "s") or x = z (side "z") that scaling was computed at.
 
     x must be strictly interior. Returns np.inf when the ray never exits.
+    A PSD block reads its frame T_s or T_z from scaling: T X T' = I, so
+    X + alpha D is PSD iff I + alpha T D T' is.
     """
+    frame = 2 if side == "s" else 3
     alpha = np.inf
-    for kind, off, ln, n in dims.blocks():
+    for (kind, off, ln, n), blk in zip(scaling.dims.blocks(), scaling.blocks):
         xb, db = x[off:off + ln], dx[off:off + ln]
         if kind == "l":
             neg = db < 0
@@ -137,11 +147,9 @@ def max_step(dims: ConeDims, x: np.ndarray, dx: np.ndarray) -> float:
             if lam_min < 0:
                 alpha = min(alpha, 1.0 / -lam_min)
         else:
-            X = smat(xb, n)
-            D = smat(db, n)
-            L = safe_cholesky(X)
-            M = np.linalg.solve(L, np.linalg.solve(L, D).T)
-            lam_min = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
+            T = blk[frame]
+            # eigvalsh reads the lower triangle only
+            lam_min = float(np.linalg.eigvalsh(T @ smat(db, n) @ T.T)[0])
             if lam_min < 0:
                 alpha = min(alpha, 1.0 / -lam_min)
     return alpha
@@ -180,7 +188,9 @@ class Scaling:
     """NT scaling state for one (s, z) pair, plus lambda = W z.
 
     blocks follows dims.blocks(): the diagonal d of W for the orthant,
-    (beta, wbar) for an SOC block, (R, Rinv) for a PSD block.
+    (beta, wbar) for an SOC block, (R, Rinv, T_s, T_z) for a PSD block,
+    with T_s = Lambda^{-1/2} Rinv and T_z = Lambda^{-1/2} R' the frames in
+    which S and Z are I (max_step).
     """
 
     dims: ConeDims
@@ -197,7 +207,7 @@ class Scaling:
             elif kind == "q":
                 blocks.append((1.0, e[off:off + ln]))
             else:
-                blocks.append((np.eye(n), np.eye(n)))
+                blocks.append((np.eye(n),) * 4)
         return cls(dims, blocks, dims.identity())
 
     @classmethod
@@ -229,7 +239,8 @@ class Scaling:
                 isq = 1.0 / np.sqrt(sig)
                 R = Ls @ Vt.T * isq[None, :]
                 Rinv = (U * isq[None, :]).T @ Lz.T
-                blocks.append((R, Rinv))
+                # max_step's frames: T_s S T_s' = T_z Z T_z' = I
+                blocks.append((R, Rinv, isq[:, None] * Rinv, isq[:, None] * R.T))
                 lam[off:off + ln] = svec(np.diag(sig))
         return cls(dims, blocks, lam)
 

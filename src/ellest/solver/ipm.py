@@ -254,7 +254,7 @@ def conelp(
 
             # Predictor.
             dx, dz, ds, dtau, dkap = newton(wt_aff, X[:, 1], Z[:, 1], -tau * kappa, 1.0)
-            alpha_aff = _step_length(dims, s, z, tau, kappa, ds, dz, dtau, dkap, cap=1.0)
+            alpha_aff = _step_length(scaling, s, z, tau, kappa, ds, dz, dtau, dkap, cap=1.0)
             mu_aff = ((s + alpha_aff * ds) @ (z + alpha_aff * dz)
                       + (tau + alpha_aff * dtau) * (kappa + alpha_aff * dkap)) / (deg + 1)
             sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
@@ -268,7 +268,7 @@ def conelp(
             dx, dz, ds, dtau, dkap = newton(
                 wt_dst, *kkt.solve(-eta * rx, -eta * rz - wt_dst), dkt, eta)
 
-            alpha = STEP_FRACTION * _step_length(dims, s, z, tau, kappa, ds, dz, dtau, dkap,
+            alpha = STEP_FRACTION * _step_length(scaling, s, z, tau, kappa, ds, dz, dtau, dkap,
                                                  cap=1.0 / STEP_FRACTION)
         except (np.linalg.LinAlgError, ValueError):
             # boundary/overflow wreckage in the scaling or the KKT solves
@@ -291,10 +291,10 @@ def conelp(
     raise AssertionError("unreachable")
 
 
-def _step_length(dims, s, z, tau, kappa, ds, dz, dtau, dkap, cap=1.0):
+def _step_length(scaling, s, z, tau, kappa, ds, dz, dtau, dkap, cap=1.0):
     alpha = cap
-    alpha = min(alpha, max_step(dims, s, ds))
-    alpha = min(alpha, max_step(dims, z, dz))
+    alpha = min(alpha, max_step(scaling, s, ds, "s"))
+    alpha = min(alpha, max_step(scaling, z, dz, "z"))
     if dtau < 0:
         alpha = min(alpha, tau / -dtau)
     if dkap < 0:

@@ -211,6 +211,21 @@ def test_pendulum_run_small(tmp_path):
     assert tuple(rows[0]) == PENDULUM_COLUMNS
 
 
+def test_pendulum_block_one_reuses_the_last_single_target(conelp_calls):
+    cfg = ScenarioConfig(scenario=PENDULUM, n_grid=(5,), sigma_grid=(0.075,), horizon=3)
+    records = run_pendulum_experiment(cfg)
+    # 3 single targets + blocks [1, 2, 3], two solves each, less the w_3
+    # pair that block 1 repeats
+    assert len(records) == 6
+    assert len(conelp_calls) == 2 * len(records) - 2
+    by_target = {rec.extras["target"]: rec for rec in records}
+    last, block = by_target["w_3"], by_target["w_block_1"]
+    assert block.error is None
+    assert block.opt_upper == last.opt_upper
+    for key in ("opt_b", "bayes_field", "ball_risk", "s_eigenvalues"):
+        assert block.extras[key] == last.extras[key]
+
+
 def test_record_sandwich_flags():
     rec = ExperimentRecord(scenario=ELLIPSOID, n=4, sigma=0.1, seed=0,
                            opt_upper=1.0, lb_by_method={"rho_family": 0.5})

@@ -11,7 +11,14 @@ from scipy.optimize import linprog
 from ellest.linalg import smat, svec, svec_len
 from ellest.rng import stream
 from ellest.solver import Builder, SolverError, ipm, solve, solve_or_raise
-from ellest.solver.cones import PSD_CHUNK, ColumnFactors, ConeDims, Scaling
+from ellest.solver.cones import (
+    PSD_CHUNK,
+    ColumnFactors,
+    ConeDims,
+    Scaling,
+    cone_margin,
+    max_step,
+)
 from ellest.solver.ipm import _KKT, conelp
 
 
@@ -233,6 +240,63 @@ def test_scaling_algebra(dims):
     for mode in ("w", "wt", "winv", "winvt"):
         cols = np.column_stack([sc.apply(V[:, j], mode) for j in range(V.shape[1])])
         np.testing.assert_allclose(sc.apply(V, mode), cols, rtol=1e-13, atol=1e-13)
+
+    # the frames max_step reads: T_s S T_s' = I and T_z Z T_z' = I
+    for (kind, off, ln, n), blk in zip(dims.blocks(), sc.blocks):
+        if kind == "s":
+            _, _, Ts, Tz = blk
+            np.testing.assert_allclose(Ts @ smat(s[off:off + ln], n) @ Ts.T, np.eye(n), **tol)
+            np.testing.assert_allclose(Tz @ smat(z[off:off + ln], n) @ Tz.T, np.eye(n), **tol)
+
+
+def _as_matrix(kind: str, v: np.ndarray, n: int) -> np.ndarray:
+    """A symmetric matrix that is PSD exactly when the block v is in its
+    cone: diag(v), the arrow matrix [[v0, v1'], [v1, v0 I]], or smat(v)."""
+    if kind == "l":
+        return np.diag(v)
+    if kind == "q":
+        M = v[0] * np.eye(n)
+        M[0, 1:] = M[1:, 0] = v[1:]
+        return M
+    return smat(v, n)
+
+
+def _cholesky_step(dims: ConeDims, x: np.ndarray, dx: np.ndarray) -> float:
+    """The step to the boundary from a Cholesky factor of each block's
+    matrix: X + alpha D is PSD iff I + alpha L^{-1} D L^{-T} is."""
+    alpha = np.inf
+    for kind, off, ln, n in dims.blocks():
+        X, D = (_as_matrix(kind, v[off:off + ln], n) for v in (x, dx))
+        L = np.linalg.cholesky(X)
+        M = np.linalg.solve(L, np.linalg.solve(L, D).T)
+        lam_min = np.linalg.eigvalsh(0.5 * (M + M.T)).min()
+        if lam_min < 0:
+            alpha = min(alpha, 1.0 / -lam_min)
+    return alpha
+
+
+@pytest.mark.parametrize("dims", [
+    pytest.param(ConeDims(l=6), id="orthant"),
+    pytest.param(ConeDims(q=(1, 7)), id="soc"),
+    pytest.param(ConeDims(s=(5,)), id="psd"),
+    pytest.param(ConeDims(l=3, q=(4, 6), s=(2, 4)), id="mixed"),
+])
+def test_max_step_reaches_the_boundary(dims):
+    rng = stream(7, dims.cone_len)
+    s, z = _interior(rng, dims), _interior(rng, dims)
+    sc = Scaling.compute(dims, s, z)
+    for side, x in (("s", s), ("z", z)):
+        for _ in range(5):
+            dx = rng.standard_normal(dims.cone_len)
+            alpha = max_step(sc, x, dx, side)
+            assert np.isfinite(alpha)
+            edge = x + alpha * dx
+            assert abs(cone_margin(dims, edge)) <= 1e-8 * np.linalg.norm(edge)
+            assert cone_margin(dims, x + 0.99 * alpha * dx) > 0
+            assert alpha == pytest.approx(_cholesky_step(dims, x, dx), rel=1e-8)
+        # directions inside the cone never leave it
+        assert max_step(sc, x, x, side) == np.inf
+        assert max_step(sc, x, dims.identity(), side) == np.inf
 
 
 def _mixed_columns(rng, dims: ConeDims, d: int) -> np.ndarray:
