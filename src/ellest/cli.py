@@ -2,18 +2,18 @@
 
 Matrices are dense CSV (one row per line, "%.17g"), signal sets travel as a
 JSON descriptor; every subcommand prints a JSON report to stdout (or --report
-PATH). ESTIMATOR_SOLVER_TOL overrides the interior-point duality-gap target,
-and --dump-program PREFIX writes every conic program solved along the way to
-PREFIX.<k>.json, in the (c, G, h, dims) form the solver receives, for
-external cross-checking. Bad input exits 2 with a message.
+PATH). --dump-program PREFIX writes every conic program solved along the
+way to PREFIX.<k>.json, in the (c, G, h, dims) form the solver receives, for
+external cross-checking. Bad input exits 2 with a message, and so does an
+ESTIMATOR_SOLVER_TOL that is not a finite positive number: that variable is
+the interior-point duality-gap target of every solve
+(solver.ipm.gap_tolerance), and main checks it before any subcommand runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 
 import numpy as np
@@ -49,21 +49,9 @@ from .s_risk import (
 )
 from .sdp_relaxation import factor_bound, solve_and_round
 from .solver import SolverError, set_program_dump
+from .solver.ipm import gap_tolerance
 
 METHODS = (RHO_FAMILY, CONTRACTION, QUADRATIC_APPROX, PARALLELOTOPE)
-
-
-def _solver_tol() -> float:
-    v = os.environ.get("ESTIMATOR_SOLVER_TOL")
-    if not v:
-        return 1e-8
-    try:
-        tol = float(v)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"ESTIMATOR_SOLVER_TOL must be a finite positive number, got {v!r}")
-    return tol
 
 
 def _floats(text: str) -> tuple:
@@ -86,8 +74,7 @@ def _emit(report: dict, path: str | None) -> None:
 def cmd_estimate(args) -> int:
     A, B = io.read_matrix(args.A), io.read_matrix(args.B)
     ell = io.read_ellitope(args.ellitope)
-    tol = _solver_tol()
-    est = build_linear_estimate(EstimationProblem(A, B, args.sigma, ell), tol_gap=tol)
+    est = build_linear_estimate(EstimationProblem(A, B, args.sigma, ell))
     io.write_matrix(args.out_h, est.H)
     _emit({
         "opt": est.opt,
@@ -113,16 +100,15 @@ def cmd_lower_bound(args) -> int:
         raise ValueError(f"--rho-grid values must lie in (0, 1], got {args.rho_grid!r}")
     A, B = io.read_matrix(args.A), io.read_matrix(args.B)
     ell = io.read_ellitope(args.ellitope)
-    tol = _solver_tol()
     prob = EstimationProblem(A, B, args.sigma, ell)
-    est = build_linear_estimate(prob, tol_gap=tol)
-    ms = m_star(B, ell, tol_gap=tol)
+    est = build_linear_estimate(prob)
+    ms = m_star(B, ell)
     if args.method == RHO_FAMILY:
         rep = lower_bound_rho_family(prob, est.opt, ms, ell.K, rho_grid=grid)
     else:
         deltas = (args.delta,) if args.delta is not None else DEFAULT_DELTA_GRID
         rep = best_refined_lower_bound(prob, args.method, deltas=deltas,
-                                       opt=est.opt, mstar=ms, tol_gap=tol)
+                                       opt=est.opt, mstar=ms)
     fe = near_optimality_factor(est.opt, ms, ell.K,
                                 risk_opt=rep.lb if rep.lb > 0 else None)
     _emit({
@@ -142,12 +128,10 @@ def cmd_lower_bound(args) -> int:
 
 def cmd_srisk(args) -> int:
     A, B = io.read_matrix(args.A), io.read_matrix(args.B)
-    tol = _solver_tol()
     n = A.shape[1]
     report = {}
     if args.optimize_S:
-        S, H, tau = optimize_S_bisection(A, B, args.sigma,
-                                         trace_cap=args.trace_cap, tol_gap=tol)
+        S, H, tau = optimize_S_bisection(A, B, args.sigma, trace_cap=args.trace_cap)
         report["mode"] = "optimize_S"
         io.write_matrix(args.out_s, S)
         report["S_path"] = args.out_s
@@ -156,7 +140,7 @@ def cmd_srisk(args) -> int:
         if args.S is None:
             raise ValueError("--whole-space needs --S")
         S = io.read_matrix(args.S)
-        est = whole_space_estimate(A, B, args.sigma, S, tol_gap=tol)
+        est = whole_space_estimate(A, B, args.sigma, S)
         H, tau, bound = est.H, est.tau, est.srisk_bound
         report["mode"] = "whole_space"
         eigs = np.linalg.eigvalsh(S)
@@ -166,7 +150,7 @@ def cmd_srisk(args) -> int:
         S = io.read_matrix(args.S)
         ell = io.read_ellitope(args.ellitope)
         sp = SRiskProblem(EstimationProblem(A, B, args.sigma, ell), S)
-        est = build_srisk_estimate(sp, tol_gap=tol)
+        est = build_srisk_estimate(sp)
         H, tau, bound = est.H, est.tau, est.srisk_bound
         report["mode"] = "ellitope"
         eigs = np.linalg.eigvalsh(S)
@@ -189,9 +173,8 @@ def cmd_robust(args) -> int:
     ell = io.read_ellitope(args.ellitope)
     E, F = io.read_matrix(args.E), io.read_matrix(args.F)
     S = io.read_matrix(args.S) if args.S else np.zeros((ell.n, ell.n))
-    tol = _solver_tol()
     um = UncertaintyModel(A, B, E, F, args.radius)
-    H, lam, mu, rob_opt = build_robust_estimate(um, args.sigma, S, ell, tol_gap=tol)
+    H, lam, mu, rob_opt = build_robust_estimate(um, args.sigma, S, ell)
     frac = verify_robust_feasibility(H, lam, rob_opt, um, S, ell,
                                      N=args.samples, seed=args.seed)
     io.write_matrix(args.out_h, H)
@@ -211,8 +194,7 @@ def cmd_sdprelax(args) -> int:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     C = io.read_matrix(args.C)
     ell = io.read_ellitope(args.ellitope)
-    res = solve_and_round(C, ell, seed=args.seed, budget=args.budget,
-                          tol_gap=_solver_tol())
+    res = solve_and_round(C, ell, seed=args.seed, budget=args.budget)
     if args.out_x:
         io.write_matrix(args.out_x, res.x_hat[None, :])
     _emit({
@@ -237,7 +219,6 @@ def cmd_experiment(args) -> int:
         kw.update(horizon=args.horizon, trace_cap=args.trace_cap)
     if args.refine_deltas:
         kw["refine_deltas"] = _floats(args.refine_deltas)
-    kw["tol_gap"] = _solver_tol()
     cfg = ScenarioConfig(**kw)
     runner = run_pendulum_experiment if args.scenario == PENDULUM \
         else run_suboptimality_experiment
@@ -342,6 +323,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     set_program_dump(args.dump_program)
     try:
+        # a bad ESTIMATOR_SOLVER_TOL exits 2 here, not as per-row errors
+        gap_tolerance()
         return args.fn(args)
     except (SolverError, ValueError, NotImplementedError, OSError,
             json.JSONDecodeError) as exc:

@@ -202,13 +202,14 @@ def add_tset_cone(b: Builder, tset: TSet, t_idx: np.ndarray,
 def phi_terms(b: Builder, tset: TSet, lam_idx: np.ndarray):
     """Linear terms (cols, vals) whose value dominates phi_T(lam) at any
     feasible point, assuming lam >= 0 is enforced by the caller. Linear for
-    segment/box; introduces an epigraph variable for the p-norm ball
-    variants (tight at the optimum whenever the terms are minimized)."""
+    segment/box; for the p-norm ball variants, adds the epigraph variable
+    group "phi_epi" (tight at the optimum whenever the terms are minimized),
+    so a Builder holds at most one such support term."""
     lam_idx = np.asarray(lam_idx, dtype=int)
     K = tset.K
     if tset.variant in (SEGMENT, BOX):
         return lam_idx, np.ones(K)
-    w = b.vars(f"phi_epi_{len(b._table)}", 1)
+    w = b.vars("phi_epi", 1)
     if tset.p == 2.0:
         for k in range(K):
             b.ineq([lam_idx[k], w[0]], [1.0, -1.0], 0.0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellitope import Ellitope, add_support_epigraph
+from .ellitope import SEGMENT, Ellitope, add_support_epigraph
 from .linalg import psd_sqrt
 from .rng import stream
 from .solver import Builder, ConicSolution, solve_or_raise
@@ -115,7 +115,7 @@ def add_neg_product(L, M: np.ndarray, h_idx: np.ndarray, nu: int,
     L.matrix_term(h_idx, U, V)
 
 
-def build_linear_estimate(prob: EstimationProblem, *, tol_gap: float = 1e-8) -> LinearEstimate:
+def build_linear_estimate(prob: EstimationProblem) -> LinearEstimate:
     """Solve the design problem and package the optimal (H, lam)."""
     A, B, ell = prob.A, prob.B, prob.ell
     m, n, nu, K = prob.m, ell.n, prob.nu, ell.K
@@ -132,7 +132,7 @@ def build_linear_estimate(prob: EstimationProblem, *, tol_gap: float = 1e-8) -> 
     add_design_lmi(L, A, B, ell.S, lam, h)
 
     prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap)
+    sol = solve_or_raise(prog)
     H = sol.var(prog, "H").reshape(m, nu)
     lam_v = np.maximum(sol.var(prog, "lam"), 0.0)
     opt = float(sol.pobj)
@@ -180,7 +180,7 @@ def _ellipsoid_bias(H: np.ndarray, prob: EstimationProblem):
     """(W, R^-1) with R = S1^{1/2}, M = B - H'A and W = R^-1 M'M R^-1, whose
     top eigenvalue is the worst squared bias over the ellipsoid {x'S1 x <= 1}."""
     ell = prob.ell
-    if ell.K != 1 or ell.tset.variant != "unit_segment":
+    if ell.K != 1 or ell.tset.variant != SEGMENT:
         raise ValueError("needs a K = 1 ellipsoid")
     M = prob.B - H.T @ prob.A
     Rinv = np.linalg.inv(psd_sqrt(ell.S[0]))

@@ -16,7 +16,8 @@ Two kinds of runs are supported:
 
 Output is plot-ready CSV (one record per row, "%.17g" floats, no wall-clock
 columns so reruns with the same config are byte-identical) plus a JSON
-sidecar carrying the full config, an environment fingerprint, and timing.
+sidecar carrying the full config, an environment fingerprint (with the
+solver's duality-gap target, environment.solver_tol), and timing.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .lower_bound import (
 )
 from .rng import stream
 from .s_risk import optimize_S_bisection
+from .solver.ipm import gap_tolerance
 
 ELLIPSOID = "ellipsoid"
 BOX = "box"
@@ -78,7 +80,6 @@ class ScenarioConfig:
     horizon: int = 32                 # pendulum only: number of observed steps T
     trace_cap: float = 1.0            # pendulum only: Tr(S) budget
     refine_deltas: tuple = (0.1, 0.2)
-    tol_gap: float = 1e-8
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -165,9 +166,9 @@ def run_suboptimality_experiment(cfg: ScenarioConfig) -> list[ExperimentRecord]:
             errs = []
             try:
                 prob = EstimationProblem(A, B, sigma, ell)
-                est = build_linear_estimate(prob, tol_gap=cfg.tol_gap)
+                est = build_linear_estimate(prob)
                 if ms is None:
-                    ms = m_star(B, ell, tol_gap=cfg.tol_gap)
+                    ms = m_star(B, ell)
                 rec.opt_upper = est.risk_bound
                 rec.lb_by_method[RHO_FAMILY] = lower_bound_rho_family(
                     prob, est.opt, ms, ell.K).lb
@@ -175,7 +176,7 @@ def run_suboptimality_experiment(cfg: ScenarioConfig) -> list[ExperimentRecord]:
                     try:
                         rep = best_refined_lower_bound(
                             prob, meth, deltas=cfg.refine_deltas, opt=est.opt,
-                            mstar=ms, tol_gap=cfg.tol_gap)
+                            mstar=ms)
                         rec.lb_by_method[meth] = rep.lb
                     except Exception as exc:  # keep the row, note the method
                         errs.append(f"{meth}: {type(exc).__name__}: {exc}")
@@ -336,10 +337,8 @@ def run_pendulum_experiment(cfg: ScenarioConfig) -> list[ExperimentRecord]:
             key = (B.shape, B.tobytes())
             if key not in solved:
                 solved[key] = (
-                    optimize_S_bisection(pp.A, B, sigma, trace_cap=cfg.trace_cap,
-                                         tol_gap=cfg.tol_gap),
-                    build_linear_estimate(EstimationProblem(pp.A, B, sigma, ball),
-                                          tol_gap=cfg.tol_gap))
+                    optimize_S_bisection(pp.A, B, sigma, trace_cap=cfg.trace_cap),
+                    build_linear_estimate(EstimationProblem(pp.A, B, sigma, ball)))
             (S_opt, H_opt, tau), ball_est = solved[key]
             eigs = np.sort(np.linalg.eigvalsh(S_opt))[::-1]
             rec.opt_upper = ball_est.risk_bound
@@ -411,6 +410,7 @@ def _pendulum_row(rec: ExperimentRecord) -> list:
 
 def write_records(records: list, cfg: ScenarioConfig) -> Path:
     """CSV (deterministic bytes) plus a JSON sidecar with config and timings."""
+    solver_tol = gap_tolerance()      # a bad value raises before any file is written
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.scenario == PENDULUM:
@@ -429,6 +429,7 @@ def write_records(records: list, cfg: ScenarioConfig) -> Path:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "platform": platform.platform(),
+            "solver_tol": solver_tol,
         },
         "n_records": len(records),
         "wall_time_ms": [round(r.wall_time_ms, 3) for r in records],

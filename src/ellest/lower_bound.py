@@ -26,6 +26,8 @@ from scipy.special import ndtr, ndtri
 from .ellitope import BOX, SEGMENT, Ellitope, add_support_epigraph, add_tset_cone
 from .estimator import EstimationProblem, build_linear_estimate
 from .linalg import (
+    SQRT2,
+    _tri_indices,
     min_eig,
     psd_sqrt,
     smat,
@@ -62,7 +64,6 @@ class LowerBoundReport:
     delta: float | None = None
     delta_refined: float | None = None
     factor_numeric: float | None = None
-    factor_theoretical: float | None = None
     details: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -234,7 +235,7 @@ def solve_bayesian_sdp(prob: EstimationProblem, *,
     return BayesianSolution(Q, t, opt_star, G, sol)
 
 
-def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope, tol_gap: float):
+def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope):
     """max Tr(CQ) over Q >= 0 with Tr(QS_k) <= t_k, t in T, for symmetric C,
     through its dual min phi_T(lam) s.t. sum lam_k S_k >= C, lam >= 0.
     Returns (value, Q, t): the dual value; the LMI's multiplier, clipped to
@@ -249,7 +250,7 @@ def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope, tol_gap: float):
     L.const(-C)
     for k in range(ell.K):
         L.term(lam[k], ell.S[k])
-    sol = solve_or_raise(b.build(), tol_gap=tol_gap)
+    sol = solve_or_raise(b.build())
     val = float(sol.pobj)
     R = psd_sqrt(smat(sol.z[-svec_len(n):], n))   # the LMI block is last in z
     Q = R @ R
@@ -262,13 +263,13 @@ def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope, tol_gap: float):
     return val, Q, t
 
 
-def m_star(B: np.ndarray, ell: Ellitope, *, tol_gap: float = 1e-8) -> float:
+def m_star(B: np.ndarray, ell: Ellitope) -> float:
     """sqrt(max Tr(BQB') over Q >= 0 with Tr(QS_k) <= t_k, t in T), from
     one solve of its dual in K variables; independent of sigma."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if not np.any(B):
         return 0.0
-    val, _, _ = _max_trace_over_covariances(sym(B.T @ B), ell, tol_gap)
+    val, _, _ = _max_trace_over_covariances(sym(B.T @ B), ell)
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -324,36 +325,23 @@ def _extract_rank1_dirs(ell: Ellitope) -> np.ndarray:
 
 
 def _qs_product_triplets(S: np.ndarray):
-    """Triplets (mi, mj, qcol, val) with (smat(q) @ S)[mi, mj] = sum val*q[qcol]."""
+    """Triplets (mi, mj, qcol, val) with (smat(q) @ S)[mi, mj] = sum val*q[qcol].
+    Column c = (a, b) of the svec basis is (e_a e_b' + e_b e_a') / div, div 2
+    on the diagonal and sqrt(2) off it, so it puts S[b, :] / div in row a and
+    S[a, :] / div in row b (both halves in row a on the diagonal)."""
     n = S.shape[0]
-    mi, mj, qc, vv = [], [], [], []
-    c = 0
-    for jcol in range(n):
-        for irow in range(jcol + 1):
-            a, bidx = irow, jcol
-            if a == bidx:
-                rows = np.full(n, a)
-                mi.append(rows)
-                mj.append(np.arange(n))
-                qc.append(np.full(n, c))
-                vv.append(S[a, :].copy())
-            else:
-                mi.append(np.full(n, a))
-                mj.append(np.arange(n))
-                qc.append(np.full(n, c))
-                vv.append(S[bidx, :] / np.sqrt(2.0))
-                mi.append(np.full(n, bidx))
-                mj.append(np.arange(n))
-                qc.append(np.full(n, c))
-                vv.append(S[a, :] / np.sqrt(2.0))
-            c += 1
-    return (np.concatenate(mi), np.concatenate(mj),
-            np.concatenate(qc), np.concatenate(vv))
+    a, b = _tri_indices(n)
+    div = np.where(a == b, 2.0, SQRT2)
+    rows, src = np.concatenate([a, b]), np.concatenate([b, a])
+    qcol = np.tile(np.arange(len(a)), 2)
+    vals = S[src] / np.tile(div, 2)[:, None]
+    return (np.repeat(rows, n), np.tile(np.arange(n), len(rows)),
+            np.repeat(qcol, n), vals.ravel())
 
 
 def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
-                        opt: float | None = None, mstar: float | None = None,
-                        tol_gap: float = 1e-8) -> LowerBoundReport:
+                        opt: float | None = None,
+                        mstar: float | None = None) -> LowerBoundReport:
     """Lower bound from maximizing phi over a delta-reliable covariance set.
 
     method selects the set: 'contraction' shrinks the trace constraints by
@@ -412,7 +400,7 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
         raise ValueError(f"unknown refined-bound method {method!r}")
 
     prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap)
+    sol = solve_or_raise(prog)
     opt_delta = -float(sol.pobj)
     R = psd_sqrt(smat(sol.var(prog, "Q"), n))
     Q = R @ R                                # PSD projection for the tail work

@@ -82,7 +82,7 @@ class UncertaintyModel:
 
 
 def build_robust_estimate(um: UncertaintyModel, sigma: float, S: np.ndarray,
-                          ell: Ellitope, *, tol_gap: float = 1e-8):
+                          ell: Ellitope):
     """min tau s.t. for every admissible [A; B] the S-risk design LMI holds;
     reformulated with multiplier mu >= 0 as
 
@@ -122,7 +122,7 @@ def build_robust_estimate(um: UncertaintyModel, sigma: float, S: np.ndarray,
         L.term(mu[0], Mm)
         add_neg_product(L, um.E_A.T, h, nu, n + nu, n)
     prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap)
+    sol = solve_or_raise(prog)
     H = sol.var(prog, "H").reshape(m, nu)
     mu_val = float(sol.var(prog, "mu")[0]) if p else 0.0
     return H, sol.var(prog, "lam").copy(), mu_val, float(sol.var(prog, "tau")[0])

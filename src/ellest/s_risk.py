@@ -90,7 +90,7 @@ def _add_srisk_objective(b: Builder, sigma: float, m: int, nu: int,
     return tau, h, lam
 
 
-def build_srisk_estimate(sp: SRiskProblem, *, tol_gap: float = 1e-8) -> SRiskEstimate:
+def build_srisk_estimate(sp: SRiskProblem) -> SRiskEstimate:
     """min tau s.t. [[sum_k lam_k S_k + tau S, B'-A'H],[B-H'A, I]] >= 0 and
     sigma^2 Tr(H'H) + phi_T(lam) <= tau."""
     prob = sp.prob
@@ -100,7 +100,7 @@ def build_srisk_estimate(sp: SRiskProblem, *, tol_gap: float = 1e-8) -> SRiskEst
     tau, h, lam = _add_srisk_objective(b, prob.sigma, m, nu, ell.tset)
     add_design_lmi(b.lmi(n + nu), A, B, ell.S, lam, h, extra_00=[(tau[0], sp.S)])
     prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap)
+    sol = solve_or_raise(prog)
     H = sol.var(prog, "H").reshape(m, nu)
     tau_val = float(sol.var(prog, "tau")[0])
     return SRiskEstimate(H, sol.var(prog, "lam").copy(), tau_val,
@@ -108,7 +108,7 @@ def build_srisk_estimate(sp: SRiskProblem, *, tol_gap: float = 1e-8) -> SRiskEst
 
 
 def _dual_srisk_solve(A: np.ndarray, B: np.ndarray, sigma: float, S: np.ndarray,
-                      ell: Ellitope | None, *, tol_gap: float = 1e-8):
+                      ell: Ellitope | None):
     """max Tr(BWB') - Tr(G) s.t. [[G, BWA'],[AWB', sigma^2 s I + AWA']] >= 0,
     W >= 0, Tr(WS) + s <= 1, and (with an ellitope) Tr(WS_k) <= v_k with
     [v; s] in the homogenizing cone of T. Returns (opt, W, s, solution)."""
@@ -130,7 +130,7 @@ def _dual_srisk_solve(A: np.ndarray, B: np.ndarray, sigma: float, S: np.ndarray,
     if ell is not None:
         _add_q_in_script_q(b, ell, w, tau_idx=s[0], name="v")
     prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap)
+    sol = solve_or_raise(prog)
     W = smat(sol.var(prog, "W"), n)
     s_val = float(sol.var(prog, "s")[0])
     return -float(sol.pobj), W, s_val, sol
@@ -163,7 +163,7 @@ def srisk_lower_bound(sp: SRiskProblem, *, tau: float | None = None) -> LowerBou
 
 
 def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
-                         S: np.ndarray, *, tol_gap: float = 1e-8) -> SRiskEstimate:
+                         S: np.ndarray) -> SRiskEstimate:
     """Minimax-optimal estimate of Bx from Ax + sigma*xi under the S-risk
     with no signal-set restriction. Optimality (among all estimates, not
     just linear ones) is certified by solving the dual program and checking
@@ -182,10 +182,10 @@ def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
     add_design_lmi(b.lmi(n + nu), A, B, np.zeros((0, n, n)), lam, h,
                    extra_00=[(tau[0], S)])
     prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap)
+    sol = solve_or_raise(prog)
     tau_val = float(sol.var(prog, "tau")[0])
     H = sol.var(prog, "H").reshape(m, nu)
-    dual_val, _, _, _ = _dual_srisk_solve(A, B, sigma, S, None, tol_gap=tol_gap)
+    dual_val, _, _, _ = _dual_srisk_solve(A, B, sigma, S, None)
     if abs(dual_val - tau_val) > 1e-6 * (1.0 + abs(tau_val)):
         raise AssertionError(
             f"whole-space certificate failed: dual {dual_val} vs tau {tau_val}")
@@ -194,7 +194,7 @@ def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
 
 
 def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
-                         trace_cap: float = 1.0, *, tol_gap: float = 1e-8):
+                         trace_cap: float = 1.0):
     """Smallest achievable S-risk level when S itself is a design variable
     under Tr(S) <= trace_cap. With T = tau S the program
 
@@ -229,7 +229,7 @@ def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
     b.ineq(np.concatenate([t_idx, tau]),
            np.concatenate([svec(np.eye(n)), [-trace_cap]]), 0.0)
     prog = b.build()
-    sol = solve_or_raise(prog, tol_gap=tol_gap)
+    sol = solve_or_raise(prog)
     tau_val = float(sol.var(prog, "tau")[0])
     T = smat(sol.var(prog, "T"), n)
     return T / tau_val, sol.var(prog, "H").reshape(m, nu), tau_val

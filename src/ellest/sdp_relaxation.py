@@ -43,9 +43,9 @@ def factor_bound(K: int) -> float:
 
 
 def solve_and_round(C: np.ndarray, ell: Ellitope, *, seed: int = 0,
-                    budget: int = 200, tol_gap: float = 1e-8) -> RelaxationResult:
+                    budget: int = 200) -> RelaxationResult:
     """Relaxation value plus a rounded feasible point, in one package."""
-    opt, Q_star, t_star = relax_quadratic_max(C, ell, tol_gap=tol_gap)
+    opt, Q_star, t_star = relax_quadratic_max(C, ell)
     x_hat, val_hat, trials = round_rademacher(C, ell, Q_star, t_star,
                                               seed=seed, budget=budget)
     ratio = val_hat / opt if opt > 0 else 1.0
@@ -53,7 +53,7 @@ def solve_and_round(C: np.ndarray, ell: Ellitope, *, seed: int = 0,
                             details={"factor_bound": factor_bound(ell.K)})
 
 
-def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *, tol_gap: float = 1e-8):
+def relax_quadratic_max(C: np.ndarray, ell: Ellitope):
     """Upper bound max Tr(CQ) over Q >= 0, Tr(QS_k) <= t_k, t in T.
 
     One solve of the dual min phi_T(lam) s.t. sum lam_k S_k >= C gives the
@@ -65,7 +65,7 @@ def relax_quadratic_max(C: np.ndarray, ell: Ellitope, *, tol_gap: float = 1e-8):
         raise ValueError(f"C must be {ell.n}x{ell.n}, got shape {C.shape}")
     if np.max(np.abs(C - C.T)) > 1e-12 * (1.0 + np.max(np.abs(C))):
         warnings.warn("C is not symmetric; using its symmetric part")
-    return _max_trace_over_covariances(sym(C), ell, tol_gap)
+    return _max_trace_over_covariances(sym(C), ell)
 
 
 def _boundary_multiplier(ell: Ellitope, y: np.ndarray) -> float:

@@ -29,6 +29,8 @@ the residuals, the certificate checks and the KKT solves.
 
 from __future__ import annotations
 
+import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -40,7 +42,24 @@ from .cones import ColumnFactors, ConeDims, Scaling, cone_margin, jordan_mul, ma
 
 STEP_FRACTION = 0.99
 TOL_FEAS = 1e-8
+TOL_GAP = 1e-8
 MAX_ITER = 200
+
+
+def gap_tolerance() -> float:
+    """The relative duality-gap target of every solve: the environment
+    variable ESTIMATOR_SOLVER_TOL when set, else TOL_GAP. ValueError unless
+    it is a finite positive number."""
+    v = os.environ.get("ESTIMATOR_SOLVER_TOL")
+    if not v:
+        return TOL_GAP
+    try:
+        tol = float(v)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"ESTIMATOR_SOLVER_TOL must be a finite positive number, got {v!r}")
+    return tol
 
 
 @dataclass
@@ -132,12 +151,12 @@ def conelp(
     dims: ConeDims,
     *,
     terms=(),
-    tol_gap: float = 1e-8,
 ) -> ConicSolution:
-    """Solve the cone program (c, G, h, dims). terms lists, per LMI block,
-    the (cols, U, V) of columns of G that are svec(sym(U E V')) over the
-    basis E of a matrix variable (program.ConicProgram.lmi_terms); the Schur
-    block of those columns is built from U and V (cones.ColumnFactors)."""
+    """Solve the cone program (c, G, h, dims) to the feasibility tolerance
+    TOL_FEAS and the duality-gap target gap_tolerance(). terms lists, per LMI
+    block, the (cols, U, V) of columns of G that are svec(sym(U E V')) over
+    the basis E of a matrix variable (program.ConicProgram.lmi_terms); the
+    Schur block of those columns is built from U and V (cones.ColumnFactors)."""
     c = np.asarray(c, dtype=float)
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -146,6 +165,7 @@ def conelp(
         raise ValueError(f"G has shape {G.shape}, expected {(dims.cone_len, d)}")
     if d == 0:
         raise ValueError("problem has no variables")
+    tol_gap = gap_tolerance()
 
     deg = dims.degree
     e = dims.identity()

@@ -100,18 +100,20 @@ def _dump_lowered(path: str, prog: ConicProgram, c, G, h, dims) -> None:
                    "var_table": prog.var_table}, fp)
 
 
-def solve(prog: ConicProgram, **kw) -> ConicSolution:
-    """Lower prog and run conelp on it (kw: tol_gap; the feasibility tolerance
-    and the iteration limit are the constants ipm.TOL_FEAS and ipm.MAX_ITER)."""
+def solve(prog: ConicProgram) -> ConicSolution:
+    """Lower prog and run conelp on it. The tolerances are the solver's own:
+    the feasibility tolerance ipm.TOL_FEAS, the duality-gap target
+    ipm.gap_tolerance() (ESTIMATOR_SOLVER_TOL, else ipm.TOL_GAP) and the
+    iteration limit ipm.MAX_ITER."""
     lowered = prog.lower()
     if _dump_state:
         _dump_state[1] += 1
         _dump_lowered(f"{_dump_state[0]}.{_dump_state[1]}.json", prog, *lowered)
-    return conelp(*lowered, terms=prog.lmi_terms(), **kw)
+    return conelp(*lowered, terms=prog.lmi_terms())
 
 
-def solve_or_raise(prog: ConicProgram, **kw) -> ConicSolution:
-    sol = solve(prog, **kw)
+def solve_or_raise(prog: ConicProgram) -> ConicSolution:
+    sol = solve(prog)
     if not sol.is_optimal:
         raise SolverError(f"conic solve failed: {sol.status} ({sol.message})")
     return sol

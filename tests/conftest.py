@@ -61,6 +61,13 @@ def _run_in_tmp_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
+@pytest.fixture(autouse=True)
+def _default_solver_tol(monkeypatch):
+    """Every solve reads ESTIMATOR_SOLVER_TOL; clear it, so a setting in the
+    shell that runs the tests cannot move the tolerances they assume."""
+    monkeypatch.delenv("ESTIMATOR_SOLVER_TOL", raising=False)
+
+
 @pytest.fixture
 def conelp_calls(monkeypatch):
     """Record every conic solve started through ellest.solver.program (the

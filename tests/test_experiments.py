@@ -164,6 +164,23 @@ def test_suboptimality_run_small(tmp_path, monkeypatch):
     assert meta["errors"] == []
 
 
+def test_sidecar_records_the_solver_tolerance(tmp_path, monkeypatch):
+    cfg = ScenarioConfig(scenario=BOX, n_grid=(4,), out_dir=str(tmp_path))
+    write_records([], cfg)
+    meta = json.loads((tmp_path / "box.json").read_text())
+    assert meta["environment"]["solver_tol"] == 1e-8
+    assert "tol_gap" not in meta["config"]
+    monkeypatch.setenv("ESTIMATOR_SOLVER_TOL", "1e-6")
+    write_records([], cfg)
+    meta = json.loads((tmp_path / "box.json").read_text())
+    assert meta["environment"]["solver_tol"] == 1e-6
+    monkeypatch.setenv("ESTIMATOR_SOLVER_TOL", "0")
+    cfg = ScenarioConfig(scenario=BOX, n_grid=(4,), out_dir=str(tmp_path / "bad"))
+    with pytest.raises(ValueError, match="ESTIMATOR_SOLVER_TOL"):
+        write_records([], cfg)
+    assert not (tmp_path / "bad" / "box.csv").exists()
+
+
 def test_failed_m_star_marks_every_sigma_row(monkeypatch):
     def fail(*a, **kw):
         raise RuntimeError("no m_star")

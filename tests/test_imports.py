@@ -1,6 +1,7 @@
 """Static checks: every name a module of the package imports is used in it,
-every private module-level name is referenced somewhere in the package, and
-every function the benchmark wraps exists.
+every private module-level name is referenced somewhere in the package,
+every function the benchmark wraps exists, and the solver's duality-gap
+target is read in one place and passed to no function.
 
 Package __init__ modules are exempt from the import check, since their
 imports are re-exports."""
@@ -92,3 +93,32 @@ def test_perfbench_layers_resolve():
     # the KKT factor and solve spans wrap these two calls through ipm's scipy global
     source = (PACKAGE / "solver" / "ipm.py").read_text()
     assert "scipy.linalg.lu_factor(" in source and "scipy.linalg.lu_solve(" in source
+
+
+def _docstrings(tree: ast.Module) -> set:
+    nodes = [tree] + [n for n in ast.walk(tree) if isinstance(
+        n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return {id(n.body[0].value) for n in nodes
+            if n.body and isinstance(n.body[0], ast.Expr)
+            and isinstance(n.body[0].value, ast.Constant)}
+
+
+def test_one_solver_tolerance():
+    # ESTIMATOR_SOLVER_TOL is read by solver.ipm.gap_tolerance alone, and no
+    # function takes the target as a tol_gap parameter
+    params, readers = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        rel = str(path.relative_to(PACKAGE.parent))
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                if "tol_gap" in names:
+                    params.append(f"{rel}:{node.lineno}")
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "ESTIMATOR_SOLVER_TOL" in node.value and id(node) not in docs):
+                readers.add(rel)
+    assert not params, "functions with a tol_gap parameter:\n" + "\n".join(params)
+    assert len(readers) <= 1, f"ESTIMATOR_SOLVER_TOL read in {sorted(readers)}"

@@ -28,7 +28,11 @@ from ellest import (
     simplified_factor,
     solve_bayesian_sdp,
 )
+from ellest.linalg import smat, svec_len
+from ellest.lower_bound import _qs_product_triplets
 from ellest.rng import stream
+
+from conftest import random_psd
 
 
 def scalar_problem(sigma: float = 1.0) -> EstimationProblem:
@@ -192,6 +196,19 @@ def test_refined_bounds_small_ellipsoid():
         assert 0 <= r.lb <= math.sqrt(est.opt) + 1e-9
         assert r.delta_refined <= r.delta + 1e-15
         assert r.details["opt_delta"] > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_qs_product_triplets_give_smat_q_times_s(n):
+    # the quadratic_approx SOC rows 1 + mi n + mj hold (smat(q) S)[mi, mj]
+    rng = stream(37, n)
+    S = random_psd(rng, n)
+    mi, mj, qc, vv = _qs_product_triplets(S)
+    M = np.zeros((n * n, svec_len(n)))
+    np.add.at(M, (mi * n + mj, qc), vv)
+    for _ in range(3):
+        q = rng.standard_normal(svec_len(n))
+        np.testing.assert_allclose(M @ q, (smat(q, n) @ S).ravel(), rtol=1e-12, atol=1e-12)
 
 
 def test_contraction_tight_at_scale():

@@ -35,6 +35,15 @@ def test_zero_s_reduces_to_plain_design():
     assert est.tau == pytest.approx(plain.opt, rel=1e-7)
 
 
+def test_srisk_lower_bound_reads_the_solver_tolerance(monkeypatch):
+    # the lower bound's own solves (dual and m_star) take the same
+    # duality-gap target as every other solve
+    monkeypatch.setenv("ESTIMATOR_SOLVER_TOL", "abc")
+    sp = SRiskProblem(EstimationProblem(A1, B1, 1.0, ELL1), np.eye(1))
+    with pytest.raises(ValueError, match="ESTIMATOR_SOLVER_TOL"):
+        srisk_lower_bound(sp, tau=0.25)
+
+
 def test_scalar_unit_s_closed_form():
     # min over h of max_x [(1-h)^2 x^2 + sigma^2 h^2] / (1 + x^2) with
     # x free over [-1, 1] and S = 1: optimum tau = 1/4 at h = 1/2
