@@ -104,7 +104,7 @@ def cmd_lower_bound(args) -> int:
     est = build_linear_estimate(prob)
     ms = m_star(B, ell)
     if args.method == RHO_FAMILY:
-        rep = lower_bound_rho_family(prob, est.opt, ms, ell.K, rho_grid=grid)
+        rep = lower_bound_rho_family(est.opt, ms, ell.K, rho_grid=grid)
     else:
         deltas = (args.delta,) if args.delta is not None else DEFAULT_DELTA_GRID
         rep = best_refined_lower_bound(prob, args.method, deltas=deltas,
@@ -127,6 +127,13 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_srisk(args) -> int:
+    if args.optimize_S:
+        for flag, given in (("--whole-space", args.whole_space), ("--S", args.S is not None),
+                            ("--ellitope", args.ellitope is not None)):
+            if given:
+                raise ValueError(f"{flag} does not apply to --optimize-S")
+    elif args.whole_space and args.ellitope is not None:
+        raise ValueError("--ellitope does not apply to --whole-space")
     A, B = io.read_matrix(args.A), io.read_matrix(args.B)
     n = A.shape[1]
     report = {}
@@ -271,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("A")
     q.add_argument("B")
     q.add_argument("--sigma", type=float, required=True)
-    q.add_argument("--ellitope", default=None)
-    q.add_argument("--S", default=None, help="weight matrix CSV")
+    q.add_argument("--ellitope", default=None, help="signal-set descriptor JSON (fixed-S mode)")
+    q.add_argument("--S", default=None, help="weight matrix CSV (fixed-S and --whole-space)")
     q.add_argument("--whole-space", action="store_true",
-                   help="minimax over all of R^n instead of an ellitope")
+                   help="minimax over all of R^n instead of an ellitope; takes --S")
     q.add_argument("--optimize-S", action="store_true",
-                   help="optimize S under a trace budget (whole space)")
+                   help="optimize S under --trace-cap over R^n; writes --out-s")
     q.add_argument("--trace-cap", type=float, default=1.0)
     q.add_argument("--out-h", default="H.csv")
     q.add_argument("--out-s", default="S_opt.csv")

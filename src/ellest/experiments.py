@@ -170,8 +170,7 @@ def run_suboptimality_experiment(cfg: ScenarioConfig) -> list[ExperimentRecord]:
                 if ms is None:
                     ms = m_star(B, ell)
                 rec.opt_upper = est.risk_bound
-                rec.lb_by_method[RHO_FAMILY] = lower_bound_rho_family(
-                    prob, est.opt, ms, ell.K).lb
+                rec.lb_by_method[RHO_FAMILY] = lower_bound_rho_family(est.opt, ms, ell.K).lb
                 for meth in refine_methods:
                     try:
                         rep = best_refined_lower_bound(

@@ -121,12 +121,16 @@ def chi2_tail_bound(Q: np.ndarray, S: np.ndarray) -> float:
     inf_gamma exp{-1/2 sum ln(1 - 2 gamma s_i) - gamma} over the eigenvalues
     s_i of Q^(1/2) S Q^(1/2)."""
     R = psd_sqrt(Q)
-    s = np.linalg.eigvalsh(sym(R @ S @ R))
-    s = np.clip(s, 0.0, None)
+    s = np.clip(np.linalg.eigvalsh(sym(R @ S @ R)), 0.0, None)
     rho = float(np.sum(s))
     if rho > 1.0 + 1e-9:
         raise ValueError(f"Tr(SQ) = {rho} exceeds 1")
-    rho = min(rho, 1.0)
+    return _chi2_tail(s)
+
+
+def _chi2_tail(s: np.ndarray) -> float:
+    """chi2_tail_bound from the clipped eigenvalues s, sum(s) <= 1 + 1e-9."""
+    rho = min(float(np.sum(s)), 1.0)
     if rho <= 0.0 or s.max(initial=0.0) <= 0.0:
         return 0.0
     closed = math.exp(-(1.0 - rho + rho * math.log(rho)) / (2.0 * rho))
@@ -273,8 +277,8 @@ def m_star(B: np.ndarray, ell: Ellitope) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def lower_bound_rho_family(prob: EstimationProblem, opt: float, mstar: float,
-                           K: int, rho_grid=None) -> LowerBoundReport:
+def lower_bound_rho_family(opt: float, mstar: float, K: int,
+                           rho_grid=None) -> LowerBoundReport:
     """Best lower bound of the form
     Risk^2 >= rho*Opt - [1 + sqrt(2 rho) q_{1-delta_rho/2}]^2 M_*^2 delta_rho
     over a grid of rho values."""
@@ -417,10 +421,9 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
         total = 0.0
         R = psd_sqrt(Q)
         for k in range(K):
-            tk = max(float(t_opt[k]), 1e-12)
-            Sk = ell.S[k] / tk
-            ratio = float(np.sum(np.clip(np.linalg.eigvalsh(sym(R @ Sk @ R)), 0, None)))
-            total += chi2_tail_bound(Q, Sk) if ratio <= 1.0 + 1e-9 else 1.0
+            Sk = ell.S[k] / max(float(t_opt[k]), 1e-12)
+            s = np.clip(np.linalg.eigvalsh(sym(R @ Sk @ R)), 0.0, None)
+            total += _chi2_tail(s) if float(np.sum(s)) <= 1.0 + 1e-9 else 1.0
         delta_ref = min(delta, total)
 
     fro = math.sqrt(max(float(np.trace(B @ Q @ B.T)), 0.0))

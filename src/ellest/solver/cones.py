@@ -24,17 +24,17 @@ ColumnFactors splits G once per solve into per-block pieces: orthant rows,
 an SOC block's first row g0, the sparse rest of its rows and the nonzeros
 of its constant G_b'JG_b, and for an LMI the factors (U, V) of the columns a
 matrix variable X fills as sym(U X V') plus low-rank eigenvector terms of
-every other column. Scaling.scale_G assembles the block from them each
-iteration, in place in one buffer: a diagonal weighting; for an SOC block,
-which CVXOPT's conelp keeps in factored form as beta^2 (2 w w' - J), one
-BLAS rank-one update and a subtraction at the nonzeros of G_b'JG_b (a
-diagonal plus low-rank split of the SOC's columns, as in Goldfarb and
-Scheinberg's product-form Cholesky for SOCP); and for an LMI the squared
-Gram of Y = R^{-1} Q summed over each column's terms (the low-rank data
-trick of DSDP, Benson, Ye, Zhang 2000), Kronecker products of the scaled
-factors for each pair of matrix-variable terms (the symmetric Kronecker
-product of Todd, Toh, Tutuncu 1998 for a symmetric X), and the products of
-the two between them.
+every other column, grouped by column. Scaling.scale_G assembles the block
+from them each iteration, in place in one buffer: a diagonal weighting; for
+an SOC block, which CVXOPT's conelp keeps in factored form as
+beta^2 (2 w w' - J), one BLAS rank-one update and a subtraction at the
+nonzeros of G_b'JG_b (a diagonal plus low-rank split of the SOC's columns, as
+in Goldfarb and Scheinberg's product-form Cholesky for SOCP); and for an LMI
+the squared Gram of Y = R^{-1} Q summed over each column's terms by one
+np.add.reduceat per axis (the low-rank data trick of DSDP, Benson, Ye, Zhang
+2000), Kronecker products of the scaled factors for each pair of
+matrix-variable terms (the symmetric Kronecker product of Todd, Toh, Tutuncu
+1998 for a symmetric X), and the products of the two between them.
 """
 
 from __future__ import annotations
@@ -408,9 +408,9 @@ def _lmi_factors(Gb: np.ndarray, n: int, nonzero: np.ndarray, terms):
     (_index); fold None for a row-major X, or, for a symmetric X, the
     row-major positions of (a, b) and (b, a) and div of its svec basis; u and
     v the slices of U and V in F past Q. eig is None when every nonzero
-    column is a term column, else (idx, k, sgn, layers): the k columns from
-    the first nonzero non-term column to the last, less the term columns,
-    with the signs and layers of their eigen-terms.
+    column is a term column, else (idx, sgn, starts): the columns from the
+    first nonzero non-term column to the last, less the term columns, and
+    the signs of their eigen-terms and where each column's terms start in Q.
     """
     in_term = np.zeros(len(nonzero), dtype=bool)
     recorded, factors, off = [], [], 0
@@ -427,8 +427,8 @@ def _lmi_factors(Gb: np.ndarray, n: int, nonzero: np.ndarray, terms):
     if len(cols):
         e = np.arange(cols[0], cols[-1] + 1)
         e = e[~in_term[e]]
-        Q, sgn, layers = _psd_terms(Gb[:, e], n)
-        eig = (_index(e), len(e), sgn, layers)
+        Q, sgn, starts = _psd_terms(Gb[:, e], n)
+        eig = (_index(e), sgn, starts)
         factors.insert(0, Q)
     elif not recorded:
         return None
@@ -457,23 +457,13 @@ def _add_folded(H: np.ndarray, ti, tj, fi, fj, T: np.ndarray, mirror: bool) -> N
         _add(H, tj, ti, T.T)
 
 
-def _sum_terms(Z: np.ndarray, layers) -> None:
-    """Add the rows of each column's further terms to its first term's row
-    (layers from _psd_terms), so that Z[:k] holds one row per column."""
-    for cols, trm in layers:
-        if isinstance(cols, int):
-            Z[cols] += Z[trm].sum(axis=0)
-        else:
-            Z[cols] += Z[trm]
-
-
 def _lmi_schur(H: np.ndarray, Rinv: np.ndarray, eig, terms, F) -> None:
     """Add an LMI block's part of the Schur block, Tr(G_i P G_j P) with
     P = Rinv'Rinv, to H (eig, terms and F from _lmi_factors). All of it comes
     from the Gram of Rinv F:
       * two eigen columns G_i = sum_r w_r q_r q_r': with y_r = Rinv q_r,
         sum_{r in i, s in j} w_r w_s (y_r'y_s)^2 (Fujisawa, Kojima, Nakata
-        1997), the squared Gram of Y summed over each column's terms;
+        1997), the squared Gram of Y reduced over each column's terms;
       * columns G_ab = sym(U E_ab V') and G_cd = sym(U2 E_cd V2') of two
         terms: with U~ = Rinv U and so on, (K1_ac K2_bd + X_ad Y_bc) / 2 for
         K1 = U~'U2~, K2 = V~'V2~, X = U~'V2~, Y = V~'U2~: kron(K1, K2) plus a
@@ -488,27 +478,23 @@ def _lmi_schur(H: np.ndarray, Rinv: np.ndarray, eig, terms, F) -> None:
     Gm = A.T @ A.copy()
     N = 0
     if eig is not None:
-        idx, k, sgn, layers = eig
+        idx, sgn, starts = eig
         N = len(sgn)
         # squared in place: the term part of Gm does not read this corner
         Z = Gm[:N, :N]
         Z *= Z
         Z *= sgn[:, None]
-        # sum the rows, then the columns (as rows of the transpose), of each
-        # column's terms
-        _sum_terms(Z, layers)
-        Z = np.multiply(Z[:k].T, sgn[:, None], order="C")
-        _sum_terms(Z, layers)
-        _add(H, idx, idx, Z[:k])
+        # sum the rows, then the columns, of each column's terms
+        Z = np.add.reduceat(Z, starts, axis=0) * sgn
+        _add(H, idx, idx, np.add.reduceat(Z, starts, axis=1))
     YW, Gw = Gm[:N, N:], Gm[N:, N:]
     Gh = 0.5 * Gw
     for i, (ti, fi, ui, vi) in enumerate(terms):
         if N:
             C = (YW[:, ui, None] * (YW[:, None, vi] * sgn[:, None, None])).reshape(N, -1)
-            C = _fold(C, fi, 1)
-            _sum_terms(C, layers)
-            _add(H, idx, ti, C[:k])
-            _add(H, ti, idx, C[:k].T)
+            C = np.add.reduceat(_fold(C, fi, 1), starts, axis=0)
+            _add(H, idx, ti, C)
+            _add(H, ti, idx, C.T)
         rows = (ui.stop - ui.start) * (vi.stop - vi.start)
         for j, (tj, fj, uj, vj) in enumerate(terms[i:], i):
             # T[(a, b), (c, d)] = K1[a, c] K2[b, d] + X[a, d] Y[b, c], halved
@@ -531,15 +517,12 @@ def _psd_terms(Gb: np.ndarray, n: int):
     F_i = sum_r w_r q_r q_r' over its eigenpairs, those under RANK_TOL of the
     largest |w| dropped (a zero column keeps one zero term).
 
-    Returns Q, whose columns are sqrt|w_r| q_r, sgn = sign(w_r), and layers.
-    The terms are laid out in layers: layer t holds the t-th term of every
-    column of rank > t, so layer 0 is the columns themselves, in order, and
-    the terms of layer t >= 1 sit in the slice terms and add to columns cols
-    (a slice when contiguous). layers lists (cols, terms) for t >= 1, except
-    that the layers where a single column is left are one entry (column,
-    terms) with an int column (see _sum_terms).
+    Returns Q, whose columns are sqrt|w_r| q_r, sgn = sign(w_r), and starts.
+    Each column's terms are contiguous and the columns come in order: column
+    i owns Q[:, starts[i]:starts[i + 1]], so np.add.reduceat(M, starts)
+    sums the rows of M over each column's terms.
     """
-    chunks = []
+    Qs, sgns, ranks = [], [], []
     for lo in range(0, Gb.shape[1], PSD_CHUNK):
         F = smat(Gb[:, lo:lo + PSD_CHUNK].T, n)
         # eigh on the rows a column touches, batched over columns touching
@@ -556,28 +539,11 @@ def _psd_terms(Gb: np.ndarray, n: int):
         lam = np.take_along_axis(lam, order, axis=1)
         rank = np.maximum(np.sum(np.abs(lam) > RANK_TOL * np.abs(lam[:, :1]), axis=1), 1)
         V = np.take_along_axis(V, order[:, None, :rank.max()], axis=2)
-        chunks.append((lo, rank, lam, V))
-    Qs, sgns, layers, off = [], [], [], 0
-    for t in range(max(rank.max() for _, rank, _, _ in chunks)):
-        cols, w, q = [], [], []
-        for lo, rank, lam, V in chunks:
-            i = np.flatnonzero(rank > t)
-            if len(i):
-                cols.append(lo + i)
-                w.append(lam[i, t])
-                q.append(V[i, :, t])
-        cols, w = np.concatenate(cols), np.concatenate(w)
-        Qs.append(np.concatenate(q).T * np.sqrt(np.abs(w)))
+        # each column's terms consecutively, the columns in order
+        keep = np.arange(rank.max()) < rank[:, None]
+        w = lam[:, :rank.max()][keep]
+        Qs.append(np.swapaxes(V, 1, 2)[keep].T * np.sqrt(np.abs(w)))
         sgns.append(np.sign(w))
-        if t and len(cols) == 1:
-            # a single column is left: its remaining terms form one layer
-            if layers and isinstance(layers[-1][0], int):
-                layers[-1] = (layers[-1][0], slice(layers[-1][1].start, off + 1))
-            else:
-                layers.append((int(cols[0]), slice(off, off + 1)))
-        elif t:
-            if cols[-1] - cols[0] + 1 == len(cols):
-                cols = slice(cols[0], cols[-1] + 1)
-            layers.append((cols, slice(off, off + len(w))))
-        off += len(w)
-    return np.hstack(Qs), np.concatenate(sgns), layers
+        ranks.append(rank)
+    rank = np.concatenate(ranks)
+    return np.hstack(Qs), np.concatenate(sgns), np.cumsum(rank) - rank

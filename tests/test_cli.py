@@ -361,6 +361,16 @@ def test_non_finite_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
     pytest.param("refine_deltas", ["experiment", "ellipsoid", "--n", "4", "--sigma-grid", "0.1",
                                    "--refine-deltas", ",", "--out", "res"],
                  id="experiment-refine-deltas-empty"),
+    pytest.param("--whole-space", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--optimize-S",
+                                   "--whole-space", "--S", "{S}", "--ellitope", "{ell}"],
+                 id="srisk-optimize-S-whole-space"),
+    pytest.param("--S", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--optimize-S", "--S", "{S}"],
+                 id="srisk-optimize-S-weight"),
+    pytest.param("--ellitope", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--optimize-S",
+                                "--ellitope", "{ell}"], id="srisk-optimize-S-ellitope"),
+    pytest.param("--ellitope", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--whole-space",
+                                "--S", "{S}", "--ellitope", "{ell}"],
+                 id="srisk-whole-space-ellitope"),
 ])
 def test_out_of_range_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
     rc = main([a.format(**inst) for a in argv])

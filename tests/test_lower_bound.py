@@ -156,7 +156,7 @@ def test_rho_family_scalar():
     prob = scalar_problem(1.0)
     est = build_linear_estimate(prob)
     ms = m_star(prob.B, prob.ell)
-    rep = lower_bound_rho_family(prob, est.opt, ms, 1)
+    rep = lower_bound_rho_family(est.opt, ms, 1)
     assert 0 < rep.lb <= math.sqrt(est.opt) + 1e-12
     assert 0 < rep.rho <= 1.0
     assert rep.factor_numeric >= 1.0
@@ -165,7 +165,7 @@ def test_rho_family_scalar():
 def test_rho_family_degenerate_grid():
     prob = scalar_problem(1.0)
     est = build_linear_estimate(prob)
-    rep = lower_bound_rho_family(prob, est.opt, 1.0, 1, rho_grid=[1.0])
+    rep = lower_bound_rho_family(est.opt, 1.0, 1, rho_grid=[1.0])
     # rho = 1 forces delta = 1: confidence term vanishes, bound collapses to 0
     assert rep.lb == 0.0
 
@@ -176,7 +176,7 @@ def test_rho_family_positive_at_scale():
     prob = EstimationProblem(np.eye(n), np.eye(n), 0.05, ell)
     est = build_linear_estimate(prob)
     ms = m_star(np.eye(n), ell)
-    rep = lower_bound_rho_family(prob, est.opt, ms, 1)
+    rep = lower_bound_rho_family(est.opt, ms, 1)
     assert 0 < rep.lb <= math.sqrt(est.opt)
 
 
@@ -220,6 +220,17 @@ def test_contraction_tight_at_scale():
     r = refined_lower_bound(prob, CONTRACTION, 0.1, opt=est.opt, mstar=ms)
     assert r.lb > 0
     assert est.risk_bound / r.lb < 3.0
+
+
+def test_contraction_on_three_constraint_box():
+    # K = 3: the refined delta sums one chi-square tail per constraint
+    ell = Ellitope.coordinate_box(np.array([1.0, 0.5, 0.25]))
+    prob = EstimationProblem(np.eye(3), np.eye(3), 0.3, ell)
+    est = build_linear_estimate(prob)
+    ms = m_star(np.eye(3), ell)
+    r = refined_lower_bound(prob, CONTRACTION, 0.1, opt=est.opt, mstar=ms)
+    assert 0.0 <= r.delta_refined <= r.delta
+    assert r.lb <= math.sqrt(est.opt)
 
 
 def test_parallelotope_on_box():

@@ -16,6 +16,7 @@ from ellest.solver.cones import (
     ColumnFactors,
     ConeDims,
     Scaling,
+    _psd_terms,
     cone_margin,
     max_step,
 )
@@ -470,6 +471,31 @@ def test_factored_gram_matches_dense(make):
         assert not H[-1].any() and not H[:, -1].any()
         assert sc.scale_G(fac, buf) is buf
         assert np.abs(buf - H).max() <= 1e-12 * np.abs(H).max()
+
+
+def test_psd_terms_group_each_column():
+    # columns of every rank 1..n, indefinite ones among them, across two
+    # PSD_CHUNK batches, with an all-zero column at the end of the first:
+    # each column's terms are one contiguous group that rebuilds it
+    rng, n = stream(6, 2000), 5
+    d = PSD_CHUNK + 20
+    zero = PSD_CHUNK - 1
+    Gb = np.zeros((svec_len(n), d))
+    for j in range(d):
+        if j != zero:
+            X = rng.standard_normal((n, 1 + j % n))
+            Gb[:, j] = svec(X @ np.diag(rng.choice([-1.0, 1.0], X.shape[1])) @ X.T)
+    Q, sgn, starts = _psd_terms(Gb, n)
+    assert len(starts) == d and starts[0] == 0 and np.all(np.diff(starts) > 0)
+    assert Q.shape[1] == len(sgn)
+    for j, (a, b) in enumerate(zip(starts, list(starts[1:]) + [len(sgn)])):
+        F = smat(Gb[:, j], n)
+        rebuilt = (Q[:, a:b] * sgn[a:b]) @ Q[:, a:b].T
+        assert np.abs(rebuilt - F).max() <= 1e-12 * max(np.abs(F).max(), 1.0)
+    # the zero column keeps one zero term: np.add.reduceat at a repeated
+    # start would return that start's row, not 0
+    assert starts[zero + 1] - starts[zero] == 1
+    assert not Q[:, starts[zero]].any()
 
 
 @pytest.mark.parametrize("p, q, k", [(3, 2, 6), (3, 3, 6), (1, 1, 1), (2, 3, 6)])
