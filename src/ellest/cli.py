@@ -87,12 +87,17 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _reject(flags, mode: str) -> None:
+    """ValueError naming the first given flag of the (flag, given) pairs."""
+    for flag, given in flags:
+        if given:
+            raise ValueError(f"{flag} does not apply to {mode}")
+
+
 def cmd_lower_bound(args) -> int:
-    if args.delta is not None and args.method == RHO_FAMILY:
-        raise ValueError("--delta applies to the refined methods; --method rho_family "
-                         "scans its own delta")
-    if args.rho_grid is not None and args.method != RHO_FAMILY:
-        raise ValueError(f"--rho-grid applies only to --method rho_family, not {args.method}")
+    _reject((("--delta", args.delta is not None and args.method == RHO_FAMILY),
+             ("--rho-grid", args.rho_grid is not None and args.method != RHO_FAMILY)),
+            f"--method {args.method}")
     if args.delta is not None and not 0 < args.delta <= 0.2:
         raise ValueError(f"--delta must lie in (0, 0.2], got {args.delta}")
     grid = _floats(args.rho_grid) if args.rho_grid else None
@@ -128,46 +133,40 @@ def cmd_lower_bound(args) -> int:
 
 def cmd_srisk(args) -> int:
     if args.optimize_S:
-        for flag, given in (("--whole-space", args.whole_space), ("--S", args.S is not None),
-                            ("--ellitope", args.ellitope is not None)):
-            if given:
-                raise ValueError(f"{flag} does not apply to --optimize-S")
-    elif args.whole_space and args.ellitope is not None:
-        raise ValueError("--ellitope does not apply to --whole-space")
+        _reject((("--whole-space", args.whole_space), ("--S", args.S is not None),
+                 ("--ellitope", args.ellitope is not None)), "--optimize-S")
+    else:
+        mode = "--whole-space" if args.whole_space else "fixed-S mode"
+        _reject((("--trace-cap", args.trace_cap is not None),
+                 ("--out-s", args.out_s is not None),
+                 ("--ellitope", args.whole_space and args.ellitope is not None)), mode)
+        if args.S is None or not (args.whole_space or args.ellitope is not None):
+            raise ValueError(f"{mode} needs --S" + ("" if args.whole_space else " and --ellitope"))
     A, B = io.read_matrix(args.A), io.read_matrix(args.B)
-    n = A.shape[1]
     report = {}
     if args.optimize_S:
-        S, H, tau = optimize_S_bisection(A, B, args.sigma, trace_cap=args.trace_cap)
+        cap = 1.0 if args.trace_cap is None else args.trace_cap
+        S, H, tau = optimize_S_bisection(A, B, args.sigma, trace_cap=cap)
         report["mode"] = "optimize_S"
-        io.write_matrix(args.out_s, S)
-        report["S_path"] = args.out_s
-        eigs, bound = np.linalg.eigvalsh(S), float(np.sqrt(tau))
-    elif args.whole_space:
-        if args.S is None:
-            raise ValueError("--whole-space needs --S")
-        S = io.read_matrix(args.S)
-        est = whole_space_estimate(A, B, args.sigma, S)
-        H, tau, bound = est.H, est.tau, est.srisk_bound
-        report["mode"] = "whole_space"
-        eigs = np.linalg.eigvalsh(S)
+        report["S_path"] = "S_opt.csv" if args.out_s is None else args.out_s
+        io.write_matrix(report["S_path"], S)
+        bound = float(np.sqrt(tau))
     else:
-        if args.S is None or args.ellitope is None:
-            raise ValueError("fixed-S mode needs --S and --ellitope")
         S = io.read_matrix(args.S)
-        ell = io.read_ellitope(args.ellitope)
-        sp = SRiskProblem(EstimationProblem(A, B, args.sigma, ell), S)
-        est = build_srisk_estimate(sp)
+        if args.whole_space:
+            est = whole_space_estimate(A, B, args.sigma, S)
+        else:
+            prob = EstimationProblem(A, B, args.sigma, io.read_ellitope(args.ellitope))
+            est = build_srisk_estimate(SRiskProblem(prob, S))
         H, tau, bound = est.H, est.tau, est.srisk_bound
-        report["mode"] = "ellitope"
-        eigs = np.linalg.eigvalsh(S)
+        report["mode"] = "whole_space" if args.whole_space else "ellitope"
     io.write_matrix(args.out_h, H)
     report.update({
         "tau": float(tau),
         "srisk_bound": float(bound),
-        "S_eigenvalues": np.sort(eigs)[::-1].tolist(),
+        "S_eigenvalues": np.sort(np.linalg.eigvalsh(S))[::-1].tolist(),
         "H_path": args.out_h,
-        "n": n,
+        "n": A.shape[1],
     })
     _emit(report, args.report)
     return 0
@@ -215,20 +214,20 @@ def cmd_sdprelax(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    kw = {"scenario": args.scenario, "seed": args.seed, "out_dir": args.out}
-    if args.n:
-        kw["n_grid"] = _ints(args.n)
-    if args.sigma_grid:
-        kw["sigma_grid"] = _floats(args.sigma_grid)
-    elif args.scenario == PENDULUM:
-        kw["sigma_grid"] = (0.075,)
-    if args.scenario == PENDULUM:
-        kw.update(horizon=args.horizon, trace_cap=args.trace_cap)
-    if args.refine_deltas:
-        kw["refine_deltas"] = _floats(args.refine_deltas)
-    cfg = ScenarioConfig(**kw)
-    runner = run_pendulum_experiment if args.scenario == PENDULUM \
-        else run_suboptimality_experiment
+    pendulum = args.scenario == PENDULUM
+    _reject((("--n", pendulum and args.n is not None),
+             ("--refine-deltas", pendulum and args.refine_deltas is not None),
+             ("--horizon", not pendulum and args.horizon is not None),
+             ("--trace-cap", not pendulum and args.trace_cap is not None)),
+            f"the {args.scenario} study")
+    given = {"n_grid": _ints(args.n) if args.n else None,
+             "sigma_grid": _floats(args.sigma_grid) if args.sigma_grid
+             else (0.075,) if pendulum else None,
+             "horizon": args.horizon, "trace_cap": args.trace_cap,
+             "refine_deltas": _floats(args.refine_deltas) if args.refine_deltas else None}
+    cfg = ScenarioConfig(args.scenario, seed=args.seed, out_dir=args.out,
+                         **{k: v for k, v in given.items() if v is not None})
+    runner = run_pendulum_experiment if pendulum else run_suboptimality_experiment
     records = runner(cfg)
     violations = check_invariants(records, cfg)
     _emit({
@@ -284,9 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimax over all of R^n instead of an ellitope; takes --S")
     q.add_argument("--optimize-S", action="store_true",
                    help="optimize S under --trace-cap over R^n; writes --out-s")
-    q.add_argument("--trace-cap", type=float, default=1.0)
+    q.add_argument("--trace-cap", type=float, default=None,
+                   help="Tr(S) budget of --optimize-S (default 1.0)")
     q.add_argument("--out-h", default="H.csv")
-    q.add_argument("--out-s", default="S_opt.csv")
+    q.add_argument("--out-s", default=None,
+                   help="where --optimize-S writes S (default S_opt.csv)")
     q.add_argument("--report", default=None)
     q.set_defaults(fn=cmd_srisk)
 
@@ -317,8 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--sigma-grid", default=None, help="comma-separated noise levels")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True, help="output directory")
-    q.add_argument("--horizon", type=int, default=32, help="pendulum steps T")
-    q.add_argument("--trace-cap", type=float, default=1.0)
+    q.add_argument("--horizon", type=int, default=None,
+                   help="pendulum steps T (default 32)")
+    q.add_argument("--trace-cap", type=float, default=None,
+                   help="pendulum Tr(S) budget (default 1.0)")
     q.add_argument("--refine-deltas", default=None,
                    help="comma-separated deltas for the refined bounds")
     q.add_argument("--report", default=None)

@@ -33,7 +33,8 @@ PBALL = "pnorm_ball"
 
 _VARIANTS = (SEGMENT, BOX, PBALL)
 
-# p values for which the homogenized cone of T has an exact conic encoding
+# p values for which membership in a p-norm ball T and its support function
+# have exact conic encodings
 CONIC_P = (2.0, 4.0)
 
 
@@ -163,13 +164,8 @@ class TSet:
         return cls(d["variant"], d["K"], d.get("p"))
 
 
-def add_tset_cone(b: Builder, tset: TSet, t_idx: np.ndarray,
-                  tau_idx: int | None = None) -> None:
-    """Constrain [t; tau] to the closed cone {tau > 0, t/tau in T}.
-
-    With tau_idx None the scale is the constant 1, which gives plain
-    membership t in T.
-    """
+def add_tset_cone(b: Builder, tset: TSet, t_idx: np.ndarray) -> None:
+    """Constrain t to lie in T."""
     t_idx = np.asarray(t_idx, dtype=int)
     K = tset.K
     if len(t_idx) != K:
@@ -177,26 +173,16 @@ def add_tset_cone(b: Builder, tset: TSet, t_idx: np.ndarray,
     b.nonneg(t_idx)
     if tset.variant in (SEGMENT, BOX):
         for k in range(K):
-            if tau_idx is None:
-                b.ineq([t_idx[k]], [1.0], 1.0)
-            else:
-                b.ineq([t_idx[k], tau_idx], [1.0, -1.0], 0.0)
+            b.ineq([t_idx[k]], [1.0], 1.0)
     elif tset.p == 2.0:
-        if tau_idx is None:
-            b.ineq(t_idx, np.ones(K), 1.0)
-        else:
-            b.ineq(np.concatenate([t_idx, [tau_idx]]),
-                   np.concatenate([np.ones(K), [-1.0]]), 0.0)
+        b.ineq(t_idx, np.ones(K), 1.0)
     elif tset.p == 4.0:
         soc = b.soc(K + 1)
-        if tau_idx is None:
-            soc.set_row(0, [], [], 1.0)
-        else:
-            soc.set_row(0, [tau_idx], [1.0])
+        soc.set_row(0, [], [], 1.0)
         soc.set_triplets(np.arange(1, K + 1), t_idx, np.ones(K))
     else:
         raise NotImplementedError(
-            f"conic encoding of the p-norm ball cone needs p in {CONIC_P}, got p={tset.p}")
+            f"conic encoding of the p-norm ball needs p in {CONIC_P}, got p={tset.p}")
 
 
 def phi_terms(b: Builder, tset: TSet, lam_idx: np.ndarray):

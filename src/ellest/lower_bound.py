@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
@@ -154,7 +153,8 @@ def _chi2_tail(s: np.ndarray) -> float:
 
 
 def phi_gauss(Q: np.ndarray, A: np.ndarray, B: np.ndarray, sigma: float) -> float:
-    """Optimal affine recovery error Tr(B [Q - QA'(sigma^2 I + AQA')^{-1}AQ] B')."""
+    """Optimal affine recovery error Tr(B [Q - QA'(sigma^2 I + AQA')^+ AQ] B');
+    sigma = 0 gives the noiseless limit."""
     Q = sym(np.asarray(Q, dtype=float))
     lo = min_eig(Q)
     if lo < -1e-8 * (1.0 + abs(np.trace(Q))):
@@ -164,36 +164,32 @@ def phi_gauss(Q: np.ndarray, A: np.ndarray, B: np.ndarray, sigma: float) -> floa
     m = A.shape[0]
     M = sigma ** 2 * np.eye(m) + A @ Q @ A.T
     AQBt = A @ Q @ B.T
-    sol = cho_solve(cho_factor(sym(M)), AQBt)
+    sol = np.linalg.lstsq(sym(M), AQBt, rcond=None)[0]
     val = float(np.trace(B @ Q @ B.T) - np.sum(AQBt * sol))
     return max(val, 0.0)
 
 
 def _add_q_in_script_q(b: Builder, ell: Ellitope, q_idx: np.ndarray,
-                       rho_scale: float = 1.0, tau_idx: int | None = None,
-                       name: str = "t") -> None:
-    """Constraints Tr(Q S_k) <= rho_scale * t_k with [t; tau] in the cone of
-    T (tau = 1 when tau_idx is None), t a new variable group called name.
-    Q >= 0 is left to the caller."""
-    t = b.vars(name, ell.K)
+                       rho_scale: float = 1.0) -> None:
+    """Constraints Tr(Q S_k) <= rho_scale * t_k with t in T, t a new
+    variable group. Q >= 0 is left to the caller."""
+    t = b.vars("t", ell.K)
     for k in range(ell.K):
         sv = svec(ell.S[k])
         nz = np.nonzero(sv)[0]
         b.ineq(np.concatenate([q_idx[nz], [t[k]]]),
                np.concatenate([sv[nz], [-rho_scale]]), 0.0)
-    add_tset_cone(b, ell.tset, t, tau_idx=tau_idx)
+    add_tset_cone(b, ell.tset, t)
 
 
 def _add_phi_objective(b: Builder, A: np.ndarray, B: np.ndarray, sigma: float,
-                       q_idx: np.ndarray):
+                       q_idx: np.ndarray) -> None:
     """Epigraph of the Bayesian objective: adds slack G and the Schur block
 
         [ G      B Q A'              ]
         [ A Q B' sigma^2 I_m + A Q A']  >= 0
 
-    and sets the (minimization) objective Tr(G) - Tr(B Q B'). Returns the
-    block's handle, so a caller passing sigma = 0 can add its own noise
-    term."""
+    and sets the (minimization) objective Tr(G) - Tr(B Q B')."""
     m, n = A.shape
     nu = B.shape[0]
     g = b.vars("G", svec_len(nu))
@@ -209,7 +205,6 @@ def _add_phi_objective(b: Builder, A: np.ndarray, B: np.ndarray, sigma: float,
     # V Q V' - V0 Q V0' with V = [B; A], V0 = [B; 0] is sym(U Q Va') with
     # Va = [0; A] and U = 2 V0 + Va
     L.matrix_term(q_idx, np.vstack([2 * B, A]), np.vstack([np.zeros_like(B), A]))
-    return L
 
 
 def solve_bayesian_sdp(prob: EstimationProblem, *,
@@ -239,6 +234,13 @@ def solve_bayesian_sdp(prob: EstimationProblem, *,
     return BayesianSolution(Q, t, opt_star, G, sol)
 
 
+def _lmi_multiplier_block(sol: ConicSolution, order: int, n: int) -> np.ndarray:
+    """The top-left n x n block, clipped to PSD, of the multiplier of the
+    program's last LMI (of the given order; its svec ends sol.z)."""
+    R = psd_sqrt(smat(sol.z[-svec_len(order):], order)[:n, :n])
+    return R @ R
+
+
 def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope):
     """max Tr(CQ) over Q >= 0 with Tr(QS_k) <= t_k, t in T, for symmetric C,
     through its dual min phi_T(lam) s.t. sum lam_k S_k >= C, lam >= 0.
@@ -256,8 +258,7 @@ def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope):
         L.term(lam[k], ell.S[k])
     sol = solve_or_raise(b.build())
     val = float(sol.pobj)
-    R = psd_sqrt(smat(sol.z[-svec_len(n):], n))   # the LMI block is last in z
-    Q = R @ R
+    Q = _lmi_multiplier_block(sol, n, n)
     loads = np.einsum("kij,ji->k", ell.S, Q)
     gam = ell.tset.boundary_scale(loads)
     Q *= min(gam, 1.0)

@@ -18,7 +18,7 @@ from .ellitope import Ellitope
 from .estimator import add_design_lmi, add_neg_product
 from .linalg import sym
 from .rng import stream
-from .s_risk import _add_srisk_objective, psd_weight
+from .s_risk import _add_srisk_objective, _srisk_design, psd_weight
 from .solver import Builder, solve_or_raise
 
 # Entries of the (batch, n + nu, n + nu) stack of design LMIs that
@@ -102,30 +102,29 @@ def build_robust_estimate(um: UncertaintyModel, sigma: float, S: np.ndarray,
         raise ValueError(f"A and B must have n = {ell.n} columns, got {n}")
     p = um.E.shape[0] if um.r > 0 and np.any(um.E) and np.any(um.F) else 0
     S = psd_weight(S, n)
+    if not p:
+        est = _srisk_design(A, B, sigma, S, ell)
+        return est.H, est.lam, 0.0, est.tau
     b = Builder()
     tau, h, lam = _add_srisk_objective(b, sigma, m, nu, ell.tset)
-    extra_00 = [(tau[0], S)]
-    if p:
-        mu = b.vars("mu", 1)
-        b.nonneg(mu)
-        extra_00.append((mu[0], -um.r ** 2 * (um.F.T @ um.F)))
+    mu = b.vars("mu", 1)
+    b.nonneg(mu)
     L = b.lmi(n + nu + p)
-    add_design_lmi(L, A, B, ell.S, lam, h, extra_00=extra_00)
-    if p:
-        # border [E_B - E_A H, mu I_p] below the identity block
-        F0 = np.zeros((n + nu + p, n + nu + p))
-        F0[n + nu:, n:n + nu] = um.E_B
-        F0[n:n + nu, n + nu:] = um.E_B.T
-        L.const(F0)
-        Mm = np.zeros((n + nu + p, n + nu + p))
-        Mm[n + nu:, n + nu:] = np.eye(p)
-        L.term(mu[0], Mm)
-        add_neg_product(L, um.E_A.T, h, nu, n + nu, n)
+    add_design_lmi(L, A, B, ell.S, lam, h,
+                   extra_00=[(tau[0], S), (mu[0], -um.r ** 2 * (um.F.T @ um.F))])
+    # border [E_B - E_A H, mu I_p] below the identity block
+    F0 = np.zeros((n + nu + p, n + nu + p))
+    F0[n + nu:, n:n + nu] = um.E_B
+    F0[n:n + nu, n + nu:] = um.E_B.T
+    L.const(F0)
+    Mm = np.zeros((n + nu + p, n + nu + p))
+    Mm[n + nu:, n + nu:] = np.eye(p)
+    L.term(mu[0], Mm)
+    add_neg_product(L, um.E_A.T, h, nu, n + nu, n)
     prog = b.build()
     sol = solve_or_raise(prog)
-    H = sol.var(prog, "H").reshape(m, nu)
-    mu_val = float(sol.var(prog, "mu")[0]) if p else 0.0
-    return H, sol.var(prog, "lam").copy(), mu_val, float(sol.var(prog, "tau")[0])
+    return (sol.var(prog, "H").reshape(m, nu), sol.var(prog, "lam").copy(),
+            float(sol.var(prog, "mu")[0]), float(sol.var(prog, "tau")[0]))
 
 
 def design_lmi_min_eig(H: np.ndarray, lam: np.ndarray, tau: float,

@@ -5,14 +5,16 @@ The S-risk of an estimate w(.) is sup_x sqrt(E||w(Ax + sigma xi) - Bx||^2 /
 from the origin. S = 0 recovers the plain worst-case risk. The linear design
 problem gets one extra term tau*S in the slack block of the risk LMI; its
 dual is a Gaussian-prior problem homogenized by a scalar s, and equality of
-the two values holds with s > 0 at the optimum whenever B is nonzero.
+the two values holds with s > 0 at the optimum whenever B is nonzero. The
+design solve also gives a point of that dual, read from its LMI multiplier.
 
 The whole-space variant (signal set = all of R^n) drops the ellitope
 constraints entirely; there the linear estimate is exactly minimax among all
-estimates, which we certify by solving the dual. optimize_S_bisection treats
-S itself as a design variable under a trace budget. The product tau*S makes
-that program bilinear, but in T = tau*S it is jointly convex in (tau, T, H),
-so one SDP gives the smallest achievable S-risk level and S = T/tau.
+estimates, which the dual point of the same solve certifies.
+optimize_S_bisection treats S itself as a design variable under a trace
+budget. The product tau*S makes that program bilinear, but in T = tau*S it
+is jointly convex in (tau, T, H), so one SDP gives the smallest achievable
+S-risk level and S = T/tau.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from .estimator import EstimationProblem, add_design_lmi, add_frobenius_epigraph
 from .linalg import min_eig, psd_tolerance, smat, svec, svec_len, sym
 from .lower_bound import (
     LowerBoundReport,
-    _add_phi_objective,
-    _add_q_in_script_q,
+    _lmi_multiplier_block,
     _rho_scan,
     m_star,
+    phi_gauss,
 )
 from .solver import Builder, ConicSolution, solve_or_raise
 
@@ -90,107 +92,91 @@ def _add_srisk_objective(b: Builder, sigma: float, m: int, nu: int,
     return tau, h, lam
 
 
-def build_srisk_estimate(sp: SRiskProblem) -> SRiskEstimate:
+def _srisk_design(A: np.ndarray, B: np.ndarray, sigma: float, S: np.ndarray,
+                  ell: Ellitope | None) -> SRiskEstimate:
     """min tau s.t. [[sum_k lam_k S_k + tau S, B'-A'H],[B-H'A, I]] >= 0 and
-    sigma^2 Tr(H'H) + phi_T(lam) <= tau."""
-    prob = sp.prob
-    A, B, ell = prob.A, prob.B, prob.ell
-    m, n, nu = prob.m, ell.n, prob.nu
+    sigma^2 Tr(H'H) + phi_T(lam) <= tau; with ell None there is no lam
+    (whole space)."""
+    m, n = A.shape
+    nu = B.shape[0]
+    tset, S_ell = (ell.tset, ell.S) if ell is not None else (None, np.zeros((0, n, n)))
     b = Builder()
-    tau, h, lam = _add_srisk_objective(b, prob.sigma, m, nu, ell.tset)
-    add_design_lmi(b.lmi(n + nu), A, B, ell.S, lam, h, extra_00=[(tau[0], sp.S)])
+    tau, h, lam = _add_srisk_objective(b, sigma, m, nu, tset)
+    add_design_lmi(b.lmi(n + nu), A, B, S_ell, lam, h, extra_00=[(tau[0], S)])
     prog = b.build()
     sol = solve_or_raise(prog)
-    H = sol.var(prog, "H").reshape(m, nu)
     tau_val = float(sol.var(prog, "tau")[0])
-    return SRiskEstimate(H, sol.var(prog, "lam").copy(), tau_val,
+    return SRiskEstimate(sol.var(prog, "H").reshape(m, nu), sol.x[lam], tau_val,
                          math.sqrt(max(tau_val, 0.0)), sol)
 
 
-def _dual_srisk_solve(A: np.ndarray, B: np.ndarray, sigma: float, S: np.ndarray,
-                      ell: Ellitope | None):
-    """max Tr(BWB') - Tr(G) s.t. [[G, BWA'],[AWB', sigma^2 s I + AWA']] >= 0,
-    W >= 0, Tr(WS) + s <= 1, and (with an ellitope) Tr(WS_k) <= v_k with
-    [v; s] in the homogenizing cone of T. Returns (opt, W, s, solution)."""
-    m, n = A.shape
-    nu = B.shape[0]
-    b = Builder()
-    w = b.vars("W", svec_len(n))
-    # no constant noise block: here it is s sigma^2 I, added below
-    L = _add_phi_objective(b, A, B, 0.0, w)
-    s = b.vars("s", 1)
-    b.nonneg(s)
-    Es = np.zeros((nu + m, nu + m))
-    Es[nu:, nu:] = sigma ** 2 * np.eye(m)
-    L.term(s[0], Es)
-    b.lmi(n).matrix_term(w, np.eye(n), np.eye(n))
-    sv_s = svec(S)
-    nz = np.nonzero(sv_s)[0]
-    b.ineq(np.concatenate([w[nz], s]), np.concatenate([sv_s[nz], [1.0]]), 1.0)
-    if ell is not None:
-        _add_q_in_script_q(b, ell, w, tau_idx=s[0], name="v")
-    prog = b.build()
-    sol = solve_or_raise(prog)
-    W = smat(sol.var(prog, "W"), n)
-    s_val = float(sol.var(prog, "s")[0])
-    return -float(sol.pobj), W, s_val, sol
+def build_srisk_estimate(sp: SRiskProblem) -> SRiskEstimate:
+    """The S-risk design (_srisk_design) of sp over its ellitope."""
+    return _srisk_design(sp.prob.A, sp.prob.B, sp.prob.sigma, sp.S, sp.prob.ell)
 
 
-def srisk_lower_bound(sp: SRiskProblem, *, tau: float | None = None) -> LowerBoundReport:
-    """Lower bound on the minimax S-risk via the homogenized dual and the
-    contracted-Gaussian-prior argument with Q_rho = rho W / s, scanned over
-    DEFAULT_RHO_GRID. The dual value must match tau to a relative 1e-5."""
+def _srisk_dual(est: SRiskEstimate, A: np.ndarray, B: np.ndarray, sigma: float,
+                S: np.ndarray, ell: Ellitope | None, rtol: float):
+    """(value, W, s) at a point of the dual max s phi_sigma(W/s) s.t. W >= 0,
+    Tr(WS) + s <= 1, Tr(WS_k)/s in T, from the design est: W is its LMI
+    multiplier's n x n corner, clipped to PSD and scaled down until
+    Tr(WS) + load_T(Tr(WS_k)) <= 1 (no load in the whole space), s = 1 - Tr(WS)
+    the largest s W allows. value <= tau by weak duality, and must match
+    est.tau to a relative rtol (stationarity in tau gives Tr(WS) + s = 1)."""
+    n = A.shape[1]
+    W = _lmi_multiplier_block(est.solution, n + B.shape[0], n)
+    tr_ws = max(float(np.sum(W * S)), 0.0)
+    load = 0.0 if ell is None else \
+        1.0 / ell.tset.boundary_scale(np.einsum("kij,ji->k", ell.S, W))
+    scale = max(tr_ws + load, 1.0)
+    W /= scale
+    s = 1.0 - tr_ws / scale
+    val = phi_gauss(W, A, B, sigma * math.sqrt(s))
+    if abs(val - est.tau) > rtol * (1.0 + abs(est.tau)):
+        raise AssertionError(f"dual value {val} disagrees with design value {est.tau}")
+    return val, W, s
+
+
+def srisk_lower_bound(sp: SRiskProblem, *,
+                      est: SRiskEstimate | None = None) -> LowerBoundReport:
+    """Lower bound on the minimax S-risk via the contracted-Gaussian-prior
+    argument with Q_rho = rho W / s, scanned over DEFAULT_RHO_GRID, where
+    (W, s) is the homogenized Bayesian dual point of the design est (solved
+    here when None). Its dual value must match tau to a relative 1e-5."""
     prob = sp.prob
-    if tau is None:
-        tau = build_srisk_estimate(sp).tau
-    opt_star, W, s_val, _ = _dual_srisk_solve(prob.A, prob.B, prob.sigma, sp.S, prob.ell)
-    if abs(opt_star - tau) > 1e-5 * (1.0 + abs(tau)):
-        raise AssertionError(
-            f"dual value {opt_star} disagrees with design value {tau}")
-    if np.any(prob.B) and s_val < 1e-8:
+    if est is None:
+        est = build_srisk_estimate(sp)
+    opt_star, _, s_val = _srisk_dual(est, prob.A, prob.B, prob.sigma, sp.S, prob.ell, 1e-5)
+    if s_val < 1e-8:
         raise AssertionError(f"dual scale s = {s_val} violates positivity")
-    phi_star = opt_star / s_val
-    tr_qs = max(float(np.sum(W * sp.S)), 0.0) / s_val
+    # Tr(WS) = 1 - s at the dual point
+    phi_star, tr_qs = opt_star / s_val, (1.0 - s_val) / s_val
     mstar = m_star(prob.B, prob.ell)
     best_val, best_rho, best_delta = _rho_scan(phi_star, mstar, prob.ell.K, tr_qs)
     lb = math.sqrt(max(best_val, 0.0))
-    bound = math.sqrt(max(tau, 0.0))
-    factor = bound / lb if lb > 0 else math.inf
+    factor = est.srisk_bound / lb if lb > 0 else math.inf
     return LowerBoundReport(method=SRISK_RHO_FAMILY, lb=lb, rho=best_rho,
                             delta=best_delta, factor_numeric=factor,
                             details={"opt_star": opt_star, "s": s_val,
-                                     "tau": tau, "tr_ws": tr_qs * s_val})
+                                     "tau": est.tau, "tr_ws": 1.0 - s_val})
 
 
 def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
                          S: np.ndarray) -> SRiskEstimate:
     """Minimax-optimal estimate of Bx from Ax + sigma*xi under the S-risk
     with no signal-set restriction. Optimality (among all estimates, not
-    just linear ones) is certified by solving the dual program and checking
-    that the values agree to a relative 1e-6."""
+    just linear ones) is certified by the Bayesian dual point read from the
+    same solve, whose value must match tau to a relative 1e-6."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if not np.any(B):
         raise ValueError("B must be nonzero")
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be a finite positive number, got {sigma}")
-    m, n = A.shape
-    nu = B.shape[0]
-    S = psd_weight(S, n)
-    b = Builder()
-    tau, h, lam = _add_srisk_objective(b, sigma, m, nu, None)
-    add_design_lmi(b.lmi(n + nu), A, B, np.zeros((0, n, n)), lam, h,
-                   extra_00=[(tau[0], S)])
-    prog = b.build()
-    sol = solve_or_raise(prog)
-    tau_val = float(sol.var(prog, "tau")[0])
-    H = sol.var(prog, "H").reshape(m, nu)
-    dual_val, _, _, _ = _dual_srisk_solve(A, B, sigma, S, None)
-    if abs(dual_val - tau_val) > 1e-6 * (1.0 + abs(tau_val)):
-        raise AssertionError(
-            f"whole-space certificate failed: dual {dual_val} vs tau {tau_val}")
-    return SRiskEstimate(H, np.zeros(0), tau_val,
-                         math.sqrt(max(tau_val, 0.0)), sol)
+    S = psd_weight(S, A.shape[1])
+    est = _srisk_design(A, B, sigma, S, None)
+    _srisk_dual(est, A, B, sigma, S, None, 1e-6)
+    return est
 
 
 def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,

@@ -250,7 +250,7 @@ def test_criterion_09_srisk_duality_and_validity():
             EstimationProblem(rng.normal(size=(m, n)), rng.normal(size=(nu, n)),
                               float(rng.uniform(0.2, 1.0)), ell), W)
         est = build_srisk_estimate(sp)
-        rep = srisk_lower_bound(sp, tau=est.tau)
+        rep = srisk_lower_bound(sp, est=est)
         worst = max(worst, abs(est.tau - rep.details["opt_star"]) / (1.0 + est.tau))
     dual_ok = worst <= 1e-5
 

@@ -113,6 +113,20 @@ def test_srisk_optimize_s(inst):
     assert report["S_eigenvalues"] == sorted(report["S_eigenvalues"], reverse=True)
 
 
+def test_srisk_optimize_s_defaults(inst):
+    # without --trace-cap and --out-s: budget 1.0, S written to S_opt.csv
+    base = ["srisk", inst["A"], inst["B"], "--sigma", "0.5", "--optimize-S",
+            "--out-h", str(inst["dir"] / "Ho.csv")]
+    rpt, rpt1 = str(inst["dir"] / "dflt.json"), str(inst["dir"] / "cap1.json")
+    assert main(base + ["--report", rpt]) == 0
+    assert main(base + ["--trace-cap", "1.0", "--out-s", str(inst["dir"] / "S1.csv"),
+                        "--report", rpt1]) == 0
+    report = read_report(rpt)
+    assert report["S_path"] == "S_opt.csv"
+    assert np.trace(io.read_matrix("S_opt.csv")) <= 1.0 + 1e-6
+    assert report["tau"] == read_report(rpt1)["tau"]
+
+
 def test_robust_command(inst):
     rng = np.random.default_rng(82)
     E = rng.normal(size=(2, 5)) * 0.2    # p x (m + nu)
@@ -371,6 +385,23 @@ def test_non_finite_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
     pytest.param("--ellitope", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--whole-space",
                                 "--S", "{S}", "--ellitope", "{ell}"],
                  id="srisk-whole-space-ellitope"),
+    pytest.param("--trace-cap", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--whole-space",
+                                 "--S", "{S}", "--trace-cap", "-5", "--out-s", "X.csv"],
+                 id="srisk-whole-space-trace-cap"),
+    pytest.param("--out-s", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--whole-space",
+                             "--S", "{S}", "--out-s", "X.csv"], id="srisk-whole-space-out-s"),
+    pytest.param("--trace-cap", ["srisk", "{A}", "{B}", "--sigma", "0.5", "--S", "{S}",
+                                 "--ellitope", "{ell}", "--trace-cap", "2"],
+                 id="srisk-fixed-S-trace-cap"),
+    pytest.param("--horizon", ["experiment", "ellipsoid", "--n", "4", "--horizon", "8",
+                               "--out", "res"], id="experiment-ellipsoid-horizon"),
+    pytest.param("--trace-cap", ["experiment", "box", "--n", "4", "--trace-cap", "2",
+                                 "--out", "res"], id="experiment-box-trace-cap"),
+    pytest.param("--n", ["experiment", "pendulum", "--n", "4", "--out", "res"],
+                 id="experiment-pendulum-n"),
+    pytest.param("--refine-deltas", ["experiment", "pendulum", "--horizon", "2",
+                                     "--refine-deltas", "0.1", "--out", "res"],
+                 id="experiment-pendulum-refine-deltas"),
 ])
 def test_out_of_range_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
     rc = main([a.format(**inst) for a in argv])

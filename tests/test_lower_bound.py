@@ -80,6 +80,15 @@ def test_phi_gauss_matches_explicit_formula(m, n, nu):
     assert phi_gauss(Q, A, B, sigma) == pytest.approx(ref, rel=1e-10)
 
 
+def test_phi_gauss_noiseless_limit():
+    # sigma = 0 with a singular AQA': the observed coordinate is recovered
+    # exactly and only the unobserved one's variance remains
+    Q = np.diag([2.0, 3.0])
+    A = np.diag([1.0, 0.0])
+    assert phi_gauss(Q, A, np.eye(2), 0.0) == pytest.approx(3.0, rel=1e-12)
+    assert phi_gauss(Q, np.zeros((1, 2)), np.eye(2), 0.0) == pytest.approx(5.0, rel=1e-12)
+
+
 def test_bayes_duality_random_tsets():
     rng = stream(31, 0)
     Sp = np.stack([np.diag([1.0, 0.2, 0.0]), np.diag([0.0, 0.5, 2.0])])

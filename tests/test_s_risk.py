@@ -20,6 +20,7 @@ from ellest import (
     whole_space_estimate,
 )
 from ellest.experiments import build_pendulum_problem
+from ellest.s_risk import _srisk_dual
 from ellest.rng import stream
 
 ELL1 = Ellitope.ellipsoid(np.array([[1.0]]))
@@ -36,12 +37,12 @@ def test_zero_s_reduces_to_plain_design():
 
 
 def test_srisk_lower_bound_reads_the_solver_tolerance(monkeypatch):
-    # the lower bound's own solves (dual and m_star) take the same
+    # the lower bound's own solves (the design and m_star) take the same
     # duality-gap target as every other solve
     monkeypatch.setenv("ESTIMATOR_SOLVER_TOL", "abc")
     sp = SRiskProblem(EstimationProblem(A1, B1, 1.0, ELL1), np.eye(1))
     with pytest.raises(ValueError, match="ESTIMATOR_SOLVER_TOL"):
-        srisk_lower_bound(sp, tau=0.25)
+        srisk_lower_bound(sp)
 
 
 def test_scalar_unit_s_closed_form():
@@ -64,7 +65,7 @@ def test_tau_decreases_in_s():
 def test_scalar_lower_bound_sandwich():
     sp = SRiskProblem(EstimationProblem(A1, B1, 1.0, ELL1), np.eye(1))
     est = build_srisk_estimate(sp)
-    rep = srisk_lower_bound(sp, tau=est.tau)
+    rep = srisk_lower_bound(sp, est=est)
     assert 0 < rep.lb <= est.srisk_bound + 1e-9
     assert 0 < rep.details["s"] < 1.0
 
@@ -73,7 +74,7 @@ def test_zero_s_dual_equals_bayesian():
     prob = EstimationProblem(A1, B1, 1.0, ELL1)
     sp = SRiskProblem(prob, np.zeros((1, 1)))
     est = build_srisk_estimate(sp)
-    rep = srisk_lower_bound(sp, tau=est.tau)
+    rep = srisk_lower_bound(sp, est=est)
     bs = solve_bayesian_sdp(prob)
     assert rep.details["opt_star"] == pytest.approx(bs.opt_star, rel=1e-6)
 
@@ -86,6 +87,40 @@ def test_whole_space_scalar_closed_forms():
     ws0 = whole_space_estimate(np.array([[0.0]]), B1, 1.0, np.eye(1))
     assert ws0.tau == pytest.approx(1.0, rel=1e-6)
     assert float(ws0.H[0, 0]) == pytest.approx(0.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("A", [np.diag([1.0, 0.0]), np.zeros((2, 2))],
+                         ids=["unobserved-target", "no-observation"])
+def test_whole_space_unobserved_direction(A):
+    # x_2 is not observed and B reads it: the risk sup_x x_2^2/(1 + 0.1|x|^2)
+    # = 10 is approached only as |x_2| grows, so the dual point has s -> 0
+    ws = whole_space_estimate(A, np.array([[0.0, 1.0]]), 1.0, 0.1 * np.eye(2))
+    assert ws.tau == pytest.approx(10.0, rel=1e-6)
+
+
+def test_whole_space_dual_scale_at_zero():
+    # a 4x5 A has a null space; the dual point read from the design solve
+    # sits at s = 0 (tau from the separate dual program of earlier releases)
+    rng = stream(77)
+    A, B = rng.normal(size=(4, 5)), rng.normal(size=(2, 5))
+    ws = whole_space_estimate(A, B, 0.3, 0.4 * np.eye(5))
+    assert ws.tau == pytest.approx(2.3698069238, rel=1e-6)
+    val, W, s = _srisk_dual(ws, A, B, 0.3, 0.4 * np.eye(5), None, 1e-6)
+    assert 0.0 <= s < 1e-6 and val == pytest.approx(ws.tau, rel=1e-6)
+
+
+def test_lower_bound_makes_one_solve_beside_the_design(conelp_calls):
+    sp = SRiskProblem(EstimationProblem(A1, B1, 1.0, ELL1), np.eye(1))
+    est = build_srisk_estimate(sp)
+    del conelp_calls[:]
+    srisk_lower_bound(sp, est=est)               # m_star only
+    assert len(conelp_calls) == 1
+    del conelp_calls[:]
+    srisk_lower_bound(sp)                        # the design and m_star
+    assert len(conelp_calls) == 2
+    del conelp_calls[:]
+    whole_space_estimate(A1, B1, 1.0, np.eye(1))
+    assert len(conelp_calls) == 1
 
 
 def test_whole_space_vs_ellipsoid_sandwich():
@@ -106,9 +141,11 @@ def test_whole_space_vs_ellipsoid_sandwich():
 
 
 def test_duality_random_tsets():
-    for trial in range(4):
+    # the p = 2 ball's support function takes its own epigraph rows
+    tsets = [TSet.unit_box(2), TSet.pnorm_ball(2, 4.0)] * 2 + [TSet.pnorm_ball(3, 2.0)]
+    for trial, tset in enumerate(tsets):
         rng = stream(42, trial)
-        n, m, nu, K = 3, 3, 2, 2
+        n, m, nu, K = 3, 3, 2, tset.K
         A = rng.normal(size=(m, n))
         B = rng.normal(size=(nu, n))
         Ss = np.zeros((K, n, n))
@@ -116,15 +153,19 @@ def test_duality_random_tsets():
             Gk = rng.normal(size=(n, 2))
             Ss[k] = Gk @ Gk.T
         Ss[0] += 0.3 * np.eye(n)
-        tset = [TSet.unit_box(K), TSet.pnorm_ball(K, 4.0)][trial % 2]
         ell = Ellitope(n, Ss, tset)
         G = rng.normal(size=(n, n))
         S = 0.5 * (G.T @ G) / n
         sp = SRiskProblem(EstimationProblem(A, B, 0.5, ell), S)
         est = build_srisk_estimate(sp)
-        rep = srisk_lower_bound(sp, tau=est.tau)
+        rep = srisk_lower_bound(sp, est=est)
         assert rep.lb <= est.srisk_bound + 1e-9
         assert rep.details["opt_star"] > 0
+        # the dual point is feasible: W >= 0, Tr(WS) + s <= 1, Tr(WS_k)/s in T
+        _, W, s = _srisk_dual(est, A, B, 0.5, S, ell, 1e-5)
+        assert np.linalg.eigvalsh(W).min() >= -1e-12 and s > 0
+        assert np.sum(W * S) + s <= 1.0 + 1e-12
+        assert tset.contains(np.einsum("kij,ji->k", Ss, W) / s, tol=1e-12)
 
 
 def test_optimize_S_scalar_oracle():
