@@ -140,7 +140,7 @@ def cmd_srisk(args) -> int:
         _reject((("--trace-cap", args.trace_cap is not None),
                  ("--out-s", args.out_s is not None),
                  ("--ellitope", args.whole_space and args.ellitope is not None)), mode)
-        if args.S is None or not (args.whole_space or args.ellitope is not None):
+        if args.S is None or (not args.whole_space and args.ellitope is None):
             raise ValueError(f"{mode} needs --S" + ("" if args.whole_space else " and --ellitope"))
     A, B = io.read_matrix(args.A), io.read_matrix(args.B)
     report = {}
