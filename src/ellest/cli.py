@@ -221,8 +221,7 @@ def cmd_experiment(args) -> int:
              ("--trace-cap", not pendulum and args.trace_cap is not None)),
             f"the {args.scenario} study")
     given = {"n_grid": _ints(args.n) if args.n else None,
-             "sigma_grid": _floats(args.sigma_grid) if args.sigma_grid
-             else (0.075,) if pendulum else None,
+             "sigma_grid": _floats(args.sigma_grid) if args.sigma_grid else None,
              "horizon": args.horizon, "trace_cap": args.trace_cap,
              "refine_deltas": _floats(args.refine_deltas) if args.refine_deltas else None}
     cfg = ScenarioConfig(args.scenario, seed=args.seed, out_dir=args.out,
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("experiment", help="reproduction studies, CSV + JSON out")
     q.add_argument("scenario", choices=(ELLIPSOID, BOX, PENDULUM))
     q.add_argument("--n", default=None, help="comma-separated dimensions")
-    q.add_argument("--sigma-grid", default=None, help="comma-separated noise levels")
+    q.add_argument("--sigma-grid", default=None, help="comma-separated sigmas; pendulum: one")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True, help="output directory")
     q.add_argument("--horizon", type=int, default=None,

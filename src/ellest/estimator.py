@@ -23,6 +23,20 @@ from .rng import stream
 from .solver import Builder, ConicSolution, solve_or_raise
 
 
+def check_observation(A, B, sigma: float, n: int | None = None):
+    """(A, B) as 2-D float arrays with n columns (A's if None), sigma > 0 finite, B != 0."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n = A.shape[1] if n is None else n
+    if A.shape[1] != n or B.shape[1] != n:
+        raise ValueError(f"A and B must have n = {n} columns, got {A.shape[1]} and {B.shape[1]}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be a finite positive number, got {sigma}")
+    if not np.any(B):
+        raise ValueError("B must be nonzero")
+    return A, B
+
+
 @dataclass(frozen=True)
 class EstimationProblem:
     """Estimate Bx from omega = Ax + sigma xi with x in ell. For a signal set
@@ -34,17 +48,9 @@ class EstimationProblem:
     ell: Ellitope
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
+        A, B = check_observation(self.A, self.B, self.sigma, self.ell.n)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        n = self.ell.n
-        if A.shape[1] != n or B.shape[1] != n:
-            raise ValueError("A and B must have n columns")
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be a finite positive number, got {self.sigma}")
-        if not np.any(B):
-            raise ValueError("B must be nonzero")
 
     @property
     def m(self) -> int:

@@ -75,7 +75,7 @@ class ScenarioConfig:
 
     scenario: str
     n_grid: tuple = DEFAULT_N_GRID
-    sigma_grid: tuple = DEFAULT_SIGMA_GRID
+    sigma_grid: tuple | None = None   # None: DEFAULT_SIGMA_GRID, or (0.075,) for the pendulum
     seed: int = 0
     horizon: int = 32                 # pendulum only: number of observed steps T
     trace_cap: float = 1.0            # pendulum only: Tr(S) budget
@@ -86,7 +86,9 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
+        grid = self.sigma_grid if self.sigma_grid is not None else \
+            (0.075,) if self.scenario == PENDULUM else DEFAULT_SIGMA_GRID
+        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in grid))
         object.__setattr__(self, "refine_deltas", tuple(float(d) for d in self.refine_deltas))
         if not self.sigma_grid or not all(0 < s < np.inf for s in self.sigma_grid):
             raise ValueError("sigma_grid must be nonempty, finite and positive")
@@ -100,6 +102,8 @@ class ScenarioConfig:
                 raise ValueError("n grid must be nonempty with n >= 2")
         elif self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        elif len(self.sigma_grid) != 1:
+            raise ValueError(f"the pendulum study takes one sigma, got {self.sigma_grid}")
 
 
 @dataclass
@@ -317,7 +321,7 @@ def run_pendulum_experiment(cfg: ScenarioConfig) -> list[ExperimentRecord]:
     """Trace-capped S-risk designs for every input target, plus the ball design."""
     if cfg.scenario != PENDULUM:
         raise ValueError("pendulum runs take the pendulum scenario")
-    sigma = cfg.sigma_grid[0]
+    (sigma,) = cfg.sigma_grid
     pp = build_pendulum_problem(T=cfg.horizon, sigma=sigma)
     ball = Ellitope.ellipsoid(np.eye(pp.n) / pp.n)
     targets = [("single", t) for t in range(1, pp.T + 1)]

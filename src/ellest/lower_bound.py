@@ -420,7 +420,6 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
     else:
         t_opt = np.maximum(sol.var(prog, "t"), 0.0)
         total = 0.0
-        R = psd_sqrt(Q)
         for k in range(K):
             Sk = ell.S[k] / max(float(t_opt[k]), 1e-12)
             s = np.clip(np.linalg.eigvalsh(sym(R @ Sk @ R)), 0.0, None)

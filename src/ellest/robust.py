@@ -84,13 +84,14 @@ class UncertaintyModel:
 def build_robust_estimate(um: UncertaintyModel, sigma: float, S: np.ndarray,
                           ell: Ellitope):
     """min tau s.t. for every admissible [A; B] the S-risk design LMI holds;
-    reformulated with multiplier mu >= 0 as
+    reformulated with a multiplier mu as
 
         [ sum lam_k S_k + tau S - mu r^2 F'F   B*' - A*'H    0          ]
         [ B* - H'A*                            I_nu          E_B'-H'E_A']
         [ 0                                    E_B - E_A H   mu I_p     ]  >= 0
 
-    plus sigma^2 Tr(H'H) + phi_T(lam) <= tau. Returns (H, lam, mu, rob_opt).
+    plus sigma^2 Tr(H'H) + phi_T(lam) <= tau, where the mu I_p corner of the
+    LMI makes mu >= 0. Returns (H, lam, mu, rob_opt).
     With a vanishing uncertainty channel (r = 0, E = 0 or F = 0) the border
     is empty and there is no mu: this is the nominal S-risk design program,
     and mu = 0 is returned."""
@@ -108,7 +109,6 @@ def build_robust_estimate(um: UncertaintyModel, sigma: float, S: np.ndarray,
     b = Builder()
     tau, h, lam = _add_srisk_objective(b, sigma, m, nu, ell.tset)
     mu = b.vars("mu", 1)
-    b.nonneg(mu)
     L = b.lmi(n + nu + p)
     add_design_lmi(L, A, B, ell.S, lam, h,
                    extra_00=[(tau[0], S), (mu[0], -um.r ** 2 * (um.F.T @ um.F))])

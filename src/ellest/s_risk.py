@@ -14,7 +14,7 @@ estimates, which the dual point of the same solve certifies.
 optimize_S_bisection treats S itself as a design variable under a trace
 budget. The product tau*S makes that program bilinear, but in T = tau*S it
 is jointly convex in (tau, T, H), so one SDP gives the smallest achievable
-S-risk level and S = T/tau.
+S-risk level and S = T/tau (T >= 0 is implied by the design LMI).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ellitope import Ellitope, TSet, phi_terms
-from .estimator import EstimationProblem, add_design_lmi, add_frobenius_epigraph
+from .estimator import EstimationProblem, add_design_lmi, add_frobenius_epigraph, check_observation
 from .linalg import min_eig, psd_tolerance, smat, svec, svec_len, sym
 from .lower_bound import (
     LowerBoundReport,
@@ -167,12 +167,7 @@ def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
     with no signal-set restriction. Optimality (among all estimates, not
     just linear ones) is certified by the Bayesian dual point read from the
     same solve, whose value must match tau to a relative 1e-6."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if not np.any(B):
-        raise ValueError("B must be nonzero")
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be a finite positive number, got {sigma}")
+    A, B = check_observation(A, B, sigma)
     S = psd_weight(S, A.shape[1])
     est = _srisk_design(A, B, sigma, S, None)
     _srisk_dual(est, A, B, sigma, S, None, 1e-6)
@@ -184,34 +179,23 @@ def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
     """Smallest achievable S-risk level when S itself is a design variable
     under Tr(S) <= trace_cap. With T = tau S the program
 
-        min tau  s.t.  [[T, B'-A'H],[B-H'A, I]] >= 0,  T >= 0,
+        min tau  s.t.  [[T, B'-A'H],[B-H'A, I]] >= 0  (hence T >= 0),
                        sigma^2 ||H||_F^2 <= tau,  Tr(T) <= trace_cap tau
 
     is jointly convex in (tau, T, H), so one SDP gives the exact optimum.
     Returns (S_star, H_star, tau_star) with S_star = T/tau_star."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    A, B = check_observation(A, B, sigma)
     if not 0 < trace_cap < math.inf:
         raise ValueError(f"trace_cap must be a finite positive number, got {trace_cap}")
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be a finite positive number, got {sigma}")
-    if not np.any(B):
-        raise ValueError("B must be nonzero")
     m, n = A.shape
     nu = B.shape[0]
     b = Builder()
-    tau = b.vars("tau", 1)
+    tau, h, _ = _add_srisk_objective(b, sigma, m, nu, None)
     t_idx = b.vars("T", svec_len(n))
-    h = b.vars("H", m * nu)
-    u = b.vars("u", 1)
-    b.objective(tau, [1.0])
     L = b.lmi(n + nu)
     add_design_lmi(L, A, B, np.zeros((0, n, n)), np.zeros(0, dtype=int), h)
     E = np.eye(n + nu)[:, :n]
     L.matrix_term(t_idx, E, E)
-    b.lmi(n).matrix_term(t_idx, np.eye(n), np.eye(n))
-    add_frobenius_epigraph(b, h, u[0])
-    b.ineq(np.concatenate([u, tau]), [sigma ** 2, -1.0], 0.0)
     b.ineq(np.concatenate([t_idx, tau]),
            np.concatenate([svec(np.eye(n)), [-trace_cap]]), 0.0)
     prog = b.build()

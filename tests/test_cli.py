@@ -18,8 +18,9 @@ from ellest.cli import main
 
 @pytest.fixture
 def inst(tmp_path):
-    """Small scalar-friendly instance on disk: A, B, ellitope, S, and the
-    robust command's perturbation factors E, F."""
+    """Small scalar-friendly instance on disk: A, B, ellitope, S, the robust
+    command's perturbation factors E, F, and a B2 with two columns, not A's
+    three."""
     rng = np.random.default_rng(81)
     n, m, nu = 3, 3, 2
     A = rng.normal(size=(m, n))
@@ -33,6 +34,7 @@ def inst(tmp_path):
         "S": str(tmp_path / "S.csv"),
         "E": str(tmp_path / "E.csv"),
         "F": str(tmp_path / "F.csv"),
+        "B2": str(tmp_path / "B2.csv"),
         "dir": tmp_path,
     }
     io.write_matrix(paths["A"], A)
@@ -41,6 +43,7 @@ def inst(tmp_path):
     io.write_matrix(paths["S"], S)
     io.write_matrix(paths["E"], 0.2 * np.ones((2, m + nu)))
     io.write_matrix(paths["F"], 0.2 * np.ones((2, n)))
+    io.write_matrix(paths["B2"], np.ones((1, 2)))
     return paths
 
 
@@ -111,6 +114,11 @@ def test_srisk_optimize_s(inst):
     S = io.read_matrix(out_s)
     assert np.trace(S) <= 1.0 + 1e-6
     assert report["S_eigenvalues"] == sorted(report["S_eigenvalues"], reverse=True)
+    # the written S, used as a fixed weight, gives back the same level
+    assert main(["srisk", inst["A"], inst["B"], "--sigma", "0.5", "--whole-space",
+                 "--S", out_s, "--out-h", str(inst["dir"] / "Hw.csv"),
+                 "--report", rpt]) == 0
+    assert read_report(rpt)["tau"] == pytest.approx(report["tau"], rel=1e-6)
 
 
 def test_srisk_optimize_s_defaults(inst):
@@ -402,6 +410,13 @@ def test_non_finite_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
     pytest.param("--refine-deltas", ["experiment", "pendulum", "--horizon", "2",
                                      "--refine-deltas", "0.1", "--out", "res"],
                  id="experiment-pendulum-refine-deltas"),
+    pytest.param("one sigma", ["experiment", "pendulum", "--horizon", "2",
+                               "--sigma-grid", "0.05,0.1", "--out", "res"],
+                 id="experiment-pendulum-sigma-grid"),
+    pytest.param("got 3 and 2", ["srisk", "{A}", "{B2}", "--sigma", "0.5", "--whole-space",
+                                 "--S", "{S}"], id="srisk-whole-space-column-counts"),
+    pytest.param("got 3 and 2", ["srisk", "{A}", "{B2}", "--sigma", "0.5", "--optimize-S"],
+                 id="srisk-optimize-S-column-counts"),
 ])
 def test_out_of_range_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
     rc = main([a.format(**inst) for a in argv])

@@ -12,6 +12,7 @@ import pytest
 from ellest import experiments
 from ellest.experiments import (
     BOX,
+    DEFAULT_SIGMA_GRID,
     ELLIPSOID,
     PENDULUM,
     PENDULUM_COLUMNS,
@@ -128,6 +129,12 @@ def test_scenario_config_validation():
     cfg = ScenarioConfig(scenario=BOX, n_grid=[4], sigma_grid=[0.1, 0.2])
     assert cfg.n_grid == (4,)
     assert cfg.sigma_grid == (0.1, 0.2)
+    # the pendulum study runs at one sigma, by default build_pendulum_problem's
+    assert ScenarioConfig(scenario=PENDULUM).sigma_grid == (0.075,)
+    assert ScenarioConfig(scenario=BOX).sigma_grid == DEFAULT_SIGMA_GRID
+    assert build_pendulum_problem(T=2).sigma == 0.075
+    with pytest.raises(ValueError, match="one sigma"):
+        ScenarioConfig(scenario=PENDULUM, sigma_grid=(0.05, 0.1))
 
 
 # --- runs ---

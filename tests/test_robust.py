@@ -16,6 +16,7 @@ from ellest import (
 )
 from ellest import robust
 from ellest.experiments import gen_random_rotated_A
+from ellest.linalg import svec_len
 from ellest.rng import stream
 
 ELL1 = Ellitope.ellipsoid(np.array([[1.0]]))
@@ -119,6 +120,21 @@ def test_batched_feasibility_matches_single_draws(monkeypatch, r):
     assert frac == _single_draw_fraction(*args, N=60, seed=4)
     if r:
         assert 0.0 < frac < 1.0
+
+
+def test_mu_enters_only_the_lmi(monkeypatch):
+    # the mu I_p corner of the bordered LMI makes mu >= 0: no orthant row
+    progs, real = [], robust.solve_or_raise
+    monkeypatch.setattr(robust, "solve_or_raise", lambda prog: progs.append(prog) or real(prog))
+    um = UncertaintyModel(A1, B1, np.array([[1.0, 1.0]]), np.array([[1.0]]), 0.5)
+    _, _, mu, _ = build_robust_estimate(um, 1.0, S0, ELL1)
+    (prog,) = progs
+    _, G, _, dims = prog.lower()
+    lo, hi = prog.var_table["mu"]
+    lmi_rows = sum(svec_len(k) for k in dims.s)
+    assert dims.s == (3,) and mu >= 0.0
+    assert not np.any(G[:-lmi_rows, lo:hi])
+    assert np.any(G[-lmi_rows:, lo:hi])
 
 
 def test_value_monotone_in_radius():

@@ -19,6 +19,7 @@ from ellest import (
     srisk_lower_bound,
     whole_space_estimate,
 )
+from ellest import s_risk
 from ellest.experiments import build_pendulum_problem
 from ellest.s_risk import _srisk_dual
 from ellest.rng import stream
@@ -198,6 +199,17 @@ def test_optimize_S_matches_whole_space_design(name):
     assert np.trace(S_star) <= cap * (1 + 1e-6)
 
 
+def test_optimize_S_program_has_one_lmi_block(monkeypatch):
+    # T >= 0 follows from T being the design LMI's top-left block, so the
+    # program carries that one LMI and no order-n block for T
+    progs, real = [], s_risk.solve_or_raise
+    monkeypatch.setattr(s_risk, "solve_or_raise", lambda prog: progs.append(prog) or real(prog))
+    A, B, sigma, cap = _optimize_S_instance("random_4x5")
+    optimize_S_bisection(A, B, sigma, trace_cap=cap)
+    (prog,) = progs
+    assert prog.lower()[3].s == (A.shape[1] + B.shape[0],)
+
+
 def test_srisk_validation():
     prob = EstimationProblem(A1, B1, 1.0, ELL1)
     with pytest.raises(ValueError):
@@ -206,3 +218,9 @@ def test_srisk_validation():
         SRiskProblem(prob, -np.eye(1))           # S not PSD
     with pytest.raises(ValueError):
         optimize_S_bisection(A1, B1, 0.0)        # sigma not positive
+    # column counts that differ: both are named
+    A23, B12 = np.ones((2, 3)), np.ones((1, 2))
+    with pytest.raises(ValueError, match="got 3 and 2"):
+        optimize_S_bisection(A23, B12, 0.5)
+    with pytest.raises(ValueError, match="got 3 and 2"):
+        whole_space_estimate(A23, B12, 0.5, np.eye(3))
