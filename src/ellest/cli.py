@@ -224,8 +224,7 @@ def cmd_experiment(args) -> int:
              "sigma_grid": _floats(args.sigma_grid) if args.sigma_grid else None,
              "horizon": args.horizon, "trace_cap": args.trace_cap,
              "refine_deltas": _floats(args.refine_deltas) if args.refine_deltas else None}
-    cfg = ScenarioConfig(args.scenario, seed=args.seed, out_dir=args.out,
-                         **{k: v for k, v in given.items() if v is not None})
+    cfg = ScenarioConfig(args.scenario, seed=args.seed, out_dir=args.out, **given)
     runner = run_pendulum_experiment if pendulum else run_suboptimality_experiment
     records = runner(cfg)
     violations = check_invariants(records, cfg)

@@ -71,39 +71,50 @@ PENDULUM_COLUMNS = (
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One experiment run: which study, on which grids, under which seed."""
+    """One experiment run: which study, on which grids, under which seed.
+
+    A field left None takes its scenario's default; a field the scenario
+    ignores must stay None and is recorded as null."""
 
     scenario: str
-    n_grid: tuple = DEFAULT_N_GRID
-    sigma_grid: tuple | None = None   # None: DEFAULT_SIGMA_GRID, or (0.075,) for the pendulum
+    n_grid: tuple | None = None         # ellipsoid/box only (DEFAULT_N_GRID)
+    sigma_grid: tuple | None = None     # DEFAULT_SIGMA_GRID, or (0.075,) for the pendulum
     seed: int = 0
-    horizon: int = 32                 # pendulum only: number of observed steps T
-    trace_cap: float = 1.0            # pendulum only: Tr(S) budget
-    refine_deltas: tuple = (0.1, 0.2)
+    horizon: int | None = None          # pendulum only (32): number of observed steps T
+    trace_cap: float | None = None      # pendulum only (1.0): Tr(S) budget
+    refine_deltas: tuple | None = None  # ellipsoid/box only ((0.1, 0.2))
     out_dir: str | None = None
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        grid = self.sigma_grid if self.sigma_grid is not None else \
-            (0.075,) if self.scenario == PENDULUM else DEFAULT_SIGMA_GRID
-        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in grid))
-        object.__setattr__(self, "refine_deltas", tuple(float(d) for d in self.refine_deltas))
+        pendulum = self.scenario == PENDULUM
+        for name in ("n_grid", "refine_deltas") if pendulum else ("horizon", "trace_cap"):
+            if getattr(self, name) is not None:
+                raise ValueError(f"{name} does not apply to the {self.scenario} study")
+        defaults = {"sigma_grid": (0.075,), "horizon": 32, "trace_cap": 1.0} if pendulum else \
+            {"sigma_grid": DEFAULT_SIGMA_GRID, "n_grid": DEFAULT_N_GRID, "refine_deltas": (0.1, 0.2)}
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
         if not self.sigma_grid or not all(0 < s < np.inf for s in self.sigma_grid):
             raise ValueError("sigma_grid must be nonempty, finite and positive")
+        if pendulum:
+            if self.horizon < 1:
+                raise ValueError("horizon must be >= 1")
+            if not 0 < self.trace_cap < np.inf:
+                raise ValueError(f"trace_cap must be a finite positive number, got {self.trace_cap}")
+            if len(self.sigma_grid) != 1:
+                raise ValueError(f"the pendulum study takes one sigma, got {self.sigma_grid}")
+            return
+        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "refine_deltas", tuple(float(d) for d in self.refine_deltas))
+        if not self.n_grid or any(n < 2 for n in self.n_grid):
+            raise ValueError("n grid must be nonempty with n >= 2")
         if not self.refine_deltas or not all(0 < d <= 0.2 for d in self.refine_deltas):
             raise ValueError(f"refine_deltas must be nonempty and lie in (0, 0.2], "
                              f"got {self.refine_deltas}")
-        if not 0 < self.trace_cap < np.inf:
-            raise ValueError(f"trace_cap must be a finite positive number, got {self.trace_cap}")
-        if self.scenario != PENDULUM:
-            if not self.n_grid or any(n < 2 for n in self.n_grid):
-                raise ValueError("n grid must be nonempty with n >= 2")
-        elif self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        elif len(self.sigma_grid) != 1:
-            raise ValueError(f"the pendulum study takes one sigma, got {self.sigma_grid}")
 
 
 @dataclass

@@ -16,11 +16,10 @@ marginals for parallelotopes.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
 
 from .ellitope import BOX, SEGMENT, Ellitope, add_support_epigraph, add_tset_cone
 from .estimator import EstimationProblem, build_linear_estimate
@@ -83,10 +82,11 @@ class FactorEstimate:
 
 
 def gaussian_quantile(alpha: float) -> float:
-    """Standard normal quantile."""
+    """Standard normal quantile, from the standard library's
+    statistics.NormalDist.inv_cdf (Wichura's algorithm AS241)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return float(ndtri(alpha))
+    return statistics.NormalDist().inv_cdf(alpha)
 
 
 def delta_rho(rho: float, K: int) -> float:
@@ -147,6 +147,8 @@ def _chi2_tail(s: np.ndarray) -> float:
         # fprime(0) = rho - 1 < 0 and fprime -> +inf at gmax: unique root
         hi = gmax * (1.0 - 1e-12)
         if fprime(hi) > 0.0:
+            # imported here so that only the Chernoff tail loads scipy.optimize
+            from scipy.optimize import brentq
             gstar = brentq(fprime, 0.0, hi, xtol=1e-14, rtol=1e-12)
             best = math.exp(fval(gstar))
     return float(min(best, closed, 1.0))
@@ -413,7 +415,8 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
     # refined outside-probability at the optimizer
     if method == PARALLELOTOPE:
         sigmas = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", dirs, Q, dirs), 0.0))
-        tails = np.where(sigmas > 0, 2.0 * (1.0 - ndtr(1.0 / np.maximum(sigmas, 1e-300))), 0.0)
+        # 2(1 - Phi(1/s)) = erfc(1/(s sqrt 2)), with no cancellation in the tail
+        tails = [math.erfc(1.0 / (s * SQRT2)) if s > 0 else 0.0 for s in sigmas]
         delta_ref = float(min(delta, np.sum(tails)))
     elif method == QUADRATIC_APPROX:
         delta_ref = min(delta, chi2_tail_bound(Q, ell.S[0]))

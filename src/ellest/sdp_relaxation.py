@@ -44,13 +44,19 @@ def factor_bound(K: int) -> float:
 
 def solve_and_round(C: np.ndarray, ell: Ellitope, *, seed: int = 0,
                     budget: int = 200) -> RelaxationResult:
-    """Relaxation value plus a rounded feasible point, in one package."""
+    """Relaxation value plus a rounded feasible point, in one package.
+
+    When opt <= 0 the point x = 0 is optimal and nothing is rounded: xx' is an
+    admissible Q for every admissible x, so x'Cx <= opt <= 0."""
     opt, Q_star, t_star = relax_quadratic_max(C, ell)
+    details = {"factor_bound": factor_bound(ell.K)}
+    if opt <= 0:
+        return RelaxationResult(opt, Q_star, t_star, np.zeros(ell.n), 0.0, 1.0, 0,
+                                details=details)
     x_hat, val_hat, trials = round_rademacher(C, ell, Q_star, t_star,
                                               seed=seed, budget=budget)
-    ratio = val_hat / opt if opt > 0 else 1.0
-    return RelaxationResult(opt, Q_star, t_star, x_hat, val_hat, ratio, trials,
-                            details={"factor_bound": factor_bound(ell.K)})
+    return RelaxationResult(opt, Q_star, t_star, x_hat, val_hat, val_hat / opt,
+                            trials, details=details)
 
 
 def relax_quadratic_max(C: np.ndarray, ell: Ellitope):

@@ -304,8 +304,7 @@ def test_criterion_10_robustness():
 
 
 def test_criterion_11_pendulum():
-    cfg = ScenarioConfig(scenario=PENDULUM, n_grid=(8,), sigma_grid=(0.075,),
-                         horizon=8)
+    cfg = ScenarioConfig(scenario=PENDULUM, sigma_grid=(0.075,), horizon=8)
     records = run_pendulum_experiment(cfg)
     singles = [r for r in records if r.extras["kind"] == "single"]
     blocks = [r for r in records if r.extras["kind"] == "block"]

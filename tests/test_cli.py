@@ -171,6 +171,21 @@ def test_sdprelax_command(inst):
     assert x.shape == (1, 3)
 
 
+def test_sdprelax_nonpositive_relaxation_reports_the_origin(inst):
+    pc = str(inst["dir"] / "C.csv")
+    pbox = str(inst["dir"] / "box.json")
+    io.write_matrix(pc, -np.eye(3))
+    io.write_ellitope(pbox, Ellitope.coordinate_box(np.ones(3)))
+    rpt = str(inst["dir"] / "rel.json")
+    out_x = str(inst["dir"] / "x.csv")
+    rc = main(["sdprelax", pc, pbox, "--out-x", out_x, "--report", rpt])
+    assert rc == 0
+    report = read_report(rpt)
+    assert report["opt"] <= 0
+    assert (report["val_hat"], report["ratio"], report["trials_used"]) == (0.0, 1.0, 0)
+    assert np.array_equal(io.read_matrix(out_x), np.zeros((1, 3)))
+
+
 def test_experiment_command(tmp_path):
     rpt = str(tmp_path / "exp.json")
     rc = main(["experiment", "ellipsoid", "--n", "6", "--sigma-grid", "0.1",

@@ -124,8 +124,7 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(scenario=ELLIPSOID, n_grid=(8,), sigma_grid=(0.0,))
     with pytest.raises(ValueError):
-        ScenarioConfig(scenario=PENDULUM, n_grid=(8,), sigma_grid=(0.1,),
-                       horizon=0)
+        ScenarioConfig(scenario=PENDULUM, sigma_grid=(0.1,), horizon=0)
     cfg = ScenarioConfig(scenario=BOX, n_grid=[4], sigma_grid=[0.1, 0.2])
     assert cfg.n_grid == (4,)
     assert cfg.sigma_grid == (0.1, 0.2)
@@ -135,6 +134,28 @@ def test_scenario_config_validation():
     assert build_pendulum_problem(T=2).sigma == 0.075
     with pytest.raises(ValueError, match="one sigma"):
         ScenarioConfig(scenario=PENDULUM, sigma_grid=(0.05, 0.1))
+
+
+@pytest.mark.parametrize("scenario, field, value", [
+    (PENDULUM, "n_grid", (8,)),
+    (PENDULUM, "refine_deltas", (0.1,)),
+    (ELLIPSOID, "horizon", 8),
+    (BOX, "trace_cap", 2.0),
+])
+def test_scenario_config_rejects_fields_the_study_ignores(scenario, field, value):
+    with pytest.raises(ValueError, match=f"{field} does not apply to the {scenario} study"):
+        ScenarioConfig(scenario=scenario, **{field: value})
+
+
+def test_sidecar_records_null_for_fields_the_study_ignores(tmp_path):
+    for scenario, resolved, ignored in (
+            (PENDULUM, {"horizon": 32, "trace_cap": 1.0}, ("n_grid", "refine_deltas")),
+            (BOX, {"n_grid": [8, 16, 32], "refine_deltas": [0.1, 0.2]},
+             ("horizon", "trace_cap"))):
+        write_records([], ScenarioConfig(scenario=scenario, out_dir=str(tmp_path)))
+        config = json.loads((tmp_path / f"{scenario}.json").read_text())["config"]
+        assert {k: config[k] for k in resolved} == resolved
+        assert all(config[k] is None for k in ignored)
 
 
 # --- runs ---
@@ -211,8 +232,8 @@ def test_csv_byte_determinism(tmp_path):
 
 
 def test_pendulum_run_small(tmp_path):
-    cfg = ScenarioConfig(scenario=PENDULUM, n_grid=(8,), sigma_grid=(0.075,),
-                         horizon=4, out_dir=str(tmp_path))
+    cfg = ScenarioConfig(scenario=PENDULUM, sigma_grid=(0.075,), horizon=4,
+                         out_dir=str(tmp_path))
     records = run_pendulum_experiment(cfg)
     # 4 single targets + blocks [1, 2, 4]
     kinds = [rec.extras["kind"] for rec in records]
@@ -236,7 +257,7 @@ def test_pendulum_run_small(tmp_path):
 
 
 def test_pendulum_block_one_reuses_the_last_single_target(conelp_calls):
-    cfg = ScenarioConfig(scenario=PENDULUM, n_grid=(5,), sigma_grid=(0.075,), horizon=3)
+    cfg = ScenarioConfig(scenario=PENDULUM, sigma_grid=(0.075,), horizon=3)
     records = run_pendulum_experiment(cfg)
     # 3 single targets + blocks [1, 2, 3], two solves each, less the w_3
     # pair that block 1 repeats

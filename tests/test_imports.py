@@ -1,13 +1,18 @@
 """Static checks: every name a module of the package imports is used in it,
 every private module-level name is referenced somewhere in the package,
 every function the benchmark wraps exists, and the solver's duality-gap
-target is read in one place and passed to no function.
+target is read in one place and passed to no function. One run in a fresh
+interpreter checks that the package and its CLI commands leave
+scipy.optimize and scipy.special unloaded.
 
 Package __init__ modules are exempt from the import check, since their
 imports are re-exports."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ellest
@@ -122,3 +127,42 @@ def test_one_solver_tolerance():
                 readers.add(rel)
     assert not params, "functions with a tol_gap parameter:\n" + "\n".join(params)
     assert len(readers) <= 1, f"ESTIMATOR_SOLVER_TOL read in {sorted(readers)}"
+
+
+_COLD_START = """
+import sys
+import numpy as np
+import ellest, ellest.cli
+from ellest import Ellitope, io
+
+rng = np.random.default_rng(5)
+io.write_matrix("A.csv", rng.normal(size=(3, 3)))
+io.write_matrix("B.csv", rng.normal(size=(2, 3)))
+io.write_matrix("E.csv", 0.2 * np.ones((2, 5)))
+io.write_matrix("F.csv", 0.2 * np.ones((2, 3)))
+io.write_matrix("C.csv", -np.eye(3))
+io.write_ellitope("ell.json", Ellitope.ellipsoid(np.diag([1.0, 2.0, 3.0])))
+io.write_ellitope("box.json", Ellitope.coordinate_box(np.ones(3)))
+loaded = {"import": [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]}
+for argv in (["estimate", "A.csv", "B.csv", "ell.json", "--sigma", "0.5", "--report", "e.json"],
+             ["robust", "A.csv", "B.csv", "ell.json", "E.csv", "F.csv", "--sigma", "0.5",
+              "--radius", "0.3", "--report", "r.json"],
+             ["srisk", "A.csv", "B.csv", "--sigma", "0.5", "--optimize-S", "--report", "s.json"],
+             ["sdprelax", "C.csv", "box.json", "--report", "q.json"],
+             ["experiment", "pendulum", "--horizon", "2", "--out", "pend", "--report", "p.json"]):
+    assert ellest.cli.main(argv) == 0, argv
+    loaded[argv[0]] = [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+print(loaded)
+"""
+
+
+def test_cli_commands_leave_scipy_optimize_and_special_unloaded(tmp_path):
+    # Phi and its inverse come from the standard library; scipy.optimize is
+    # imported only where the Chernoff tail needs a root
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", _COLD_START], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    loaded = ast.literal_eval(run.stdout.strip().splitlines()[-1])
+    assert set(loaded) == {"import", "estimate", "robust", "srisk", "sdprelax", "experiment"}
+    assert all(mods == [] for mods in loaded.values()), loaded

@@ -28,6 +28,7 @@ from ellest import (
     simplified_factor,
     solve_bayesian_sdp,
 )
+from ellest import lower_bound
 from ellest.linalg import smat, svec_len
 from ellest.lower_bound import _qs_product_triplets
 from ellest.rng import stream
@@ -157,6 +158,16 @@ def test_gaussian_quantile_frozen_values():
     assert gaussian_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
     assert gaussian_quantile(0.975) == pytest.approx(1.9599639845400545, rel=1e-10)
     assert gaussian_quantile(0.1) == pytest.approx(-1.2815515655446004, rel=1e-10)
+    # statistics.NormalDist.inv_cdf: exact at 0.5, odd, finite deep in the tail
+    assert gaussian_quantile(0.975) == pytest.approx(1.959963984540054, rel=0, abs=1e-15)
+    assert gaussian_quantile(0.5) == 0
+    for k in range(1, 50):                   # 1 - 2^-k is exact in double precision
+        assert gaussian_quantile(2.0 ** -k) == -gaussian_quantile(1 - 2.0 ** -k)
+    q = gaussian_quantile(1e-300)
+    assert math.isfinite(q) and q == pytest.approx(-37.05, abs=5e-3)
+    for p in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            gaussian_quantile(p)
 
 
 # --- the rho-family bound ---
@@ -263,6 +274,20 @@ def test_parallelotope_quantile_cap():
     cap = 1.0 / q90 ** 2
     want = cap * sig ** 2 / (sig ** 2 + cap)
     assert r.details["opt_delta"] == pytest.approx(want, rel=1e-5)
+
+
+def test_parallelotope_far_tail_is_not_rounded_to_zero(monkeypatch):
+    # A constraint quantile of 10 caps the marginal at sigma = 1/10, whose
+    # two-sided tail 2(1 - Phi(10)) = 1.5e-23 rounds to 0 in 1 - Phi form
+    real = lower_bound.gaussian_quantile
+    monkeypatch.setattr(lower_bound, "gaussian_quantile",
+                        lambda a: 10.0 if a == 1.0 - 0.1 / 2.0 else real(a))
+    ell = Ellitope.coordinate_box(np.array([1.0]))
+    prob = EstimationProblem(np.array([[1.0]]), np.array([[1.0]]), 1.0, ell)
+    r = refined_lower_bound(prob, PARALLELOTOPE, 0.1, opt=1.0, mstar=1.0)
+    assert r.details["Q"][0, 0] == pytest.approx(0.01, rel=1e-6)
+    assert r.delta_refined > 0
+    assert r.delta_refined == pytest.approx(math.erfc(10.0 / math.sqrt(2.0)), rel=1e-4)
 
 
 def test_refined_method_validation():

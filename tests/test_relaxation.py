@@ -20,6 +20,7 @@ from ellest import (
     round_rademacher,
     solve_and_round,
 )
+from ellest import sdp_relaxation
 from ellest.ellitope import add_tset_cone
 from ellest.linalg import svec, svec_len
 from ellest.rng import stream
@@ -134,6 +135,22 @@ def test_solve_and_round_wrapper():
     assert ell.contains(res.x_hat, tol=1e-9)
     assert res.details["factor_bound"] == pytest.approx(factor_bound(ell.K))
     assert res.trials_used >= 1
+
+
+@pytest.mark.parametrize("C", [-np.eye(3), np.diag([-1.0, -2.0, 0.0]), -np.ones((3, 3))],
+                         ids=["minus-identity", "nsd-diagonal", "minus-ones"])
+def test_nonpositive_relaxation_returns_the_origin(C, monkeypatch):
+    # opt <= 0 bounds x'Cx over the set, so x = 0 is optimal and nothing is rounded
+    def no_rounding(*a, **kw):
+        raise AssertionError("rounded although opt <= 0")
+
+    monkeypatch.setattr(sdp_relaxation, "round_rademacher", no_rounding)
+    ell = Ellitope.coordinate_box(np.ones(3))
+    res = solve_and_round(C, ell)
+    assert res.opt <= 0
+    assert np.array_equal(res.x_hat, np.zeros(3))
+    assert (res.val_hat, res.ratio, res.trials_used) == (0.0, 1.0, 0)
+    assert res.details["factor_bound"] == pytest.approx(factor_bound(3))
 
 
 def _covariance_primal(C, ell):
