@@ -144,13 +144,17 @@ def _chi2_tail(s: np.ndarray) -> float:
     gmax = 1.0 / (2.0 * smax)
     best = 1.0
     if rho < 1.0:
-        # fprime(0) = rho - 1 < 0 and fprime -> +inf at gmax: unique root
-        hi = gmax * (1.0 - 1e-12)
+        # fprime(0) = rho - 1 < 0 and fprime increases to +inf at gmax: one
+        # root, bisected to within 1e-14 + 1e-12 g (fval is flat there)
+        lo, hi = 0.0, gmax * (1.0 - 1e-12)
         if fprime(hi) > 0.0:
-            # imported here so that only the Chernoff tail loads scipy.optimize
-            from scipy.optimize import brentq
-            gstar = brentq(fprime, 0.0, hi, xtol=1e-14, rtol=1e-12)
-            best = math.exp(fval(gstar))
+            while hi - lo > 1e-14 + 1e-12 * hi:
+                mid = 0.5 * (lo + hi)
+                if fprime(mid) > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            best = math.exp(fval(0.5 * (lo + hi)))
     return float(min(best, closed, 1.0))
 
 

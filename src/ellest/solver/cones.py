@@ -20,12 +20,14 @@ and one loop over it, Scaling.apply, applies W, W', W^{-1} or W^{-T} to a
 cone vector or to the columns of a (cone_len, k) array.
 
 The IPM's Schur block G'(W'W)^{-1}G is never built from a dense W^{-T}G.
-ColumnFactors splits G once per solve into per-block pieces: orthant rows,
-an SOC block's first row g0, the sparse rest of its rows and the nonzeros
-of its constant G_b'JG_b, and for an LMI the factors (U, V) of the columns a
-matrix variable X fills as sym(U X V') plus low-rank eigenvector terms of
-every other column, grouped by column. Scaling.scale_G assembles the block
-from them each iteration, in place in one buffer: a diagonal weighting; for
+ColumnFactors splits the sparse G once per solve into per-block pieces:
+orthant rows, an SOC block's first row g0, the sparse rest of its rows and
+the nonzeros of its constant G_b'JG_b, and for an LMI the factors (U, V) of
+the columns a matrix variable X fills as sym(U X V') plus low-rank
+eigenvector terms of every other column, grouped by column. Only the
+orthant rows, g0 and the eigendecomposed LMI columns are made dense.
+Scaling.scale_G assembles the block from them each iteration, in place in
+one buffer: a diagonal weighting; for
 an SOC block, which CVXOPT's conelp keeps in factored form as
 beta^2 (2 w w' - J), one BLAS rank-one update and a subtraction at the
 nonzeros of G_b'JG_b (a diagonal plus low-rank split of the SOC's columns, as
@@ -338,31 +340,35 @@ class ColumnFactors:
     G'(W'W)^{-1}G from; computed once per solve.
 
     blocks follows dims.blocks(), with None for a block no column enters.
-    An orthant or SOC entry starts with span, the slice of columns from the
-    block's first nonzero column to its last, and goes on with, for
-    G_b = G[block, span]:
-      * orthant: G_b;
-      * SOC: its first row g0, the rest G~ as a CSR G~' and
+    Each block is read from G's CSR row slice, its nonzero columns from the
+    slice's indices. An orthant or SOC entry starts with span, the slice of
+    columns from the block's first nonzero column to its last, and goes on
+    with, for G_b = G[block, span]:
+      * orthant: G_b, dense;
+      * SOC: its first row g0, dense, the rest G~ as a CSR G~' and
         (rows, cols, vals), the nonzeros of C = G_b' J G_b = g0 g0' - G~'G~
         (J = diag(1, -1, ..., -1)) at their rows and columns of the Schur
         block. Both come from sparse products: an epigraph's C is diagonal.
-    An LMI entry is (eig, terms, F) from _lmi_factors.
+    An LMI entry is (eig, terms, F) from _lmi_factors: only the columns it
+    eigendecomposes are made dense.
     """
 
     d: int
     blocks: list
 
     @classmethod
-    def of(cls, G: np.ndarray, dims: ConeDims, terms=()) -> "ColumnFactors":
-        """terms lists, per LMI block in cone order, the (cols, U, V) of the
-        columns that are svec(sym(U E V')) over the basis E of a matrix
-        variable (see linalg.matrix_basis), with G's sign; those columns are
-        not eigendecomposed."""
+    def of(cls, G, dims: ConeDims, terms=()) -> "ColumnFactors":
+        """G dense or sparse; terms lists, per LMI block in cone order, the
+        (cols, U, V) of the columns that are svec(sym(U E V')) over the basis
+        E of a matrix variable (see linalg.matrix_basis), with G's sign;
+        those columns are not eigendecomposed."""
+        G = scipy.sparse.csr_array(G)
         blocks = []
         lmi_terms = iter(terms)
         for kind, off, ln, n in dims.blocks():
             Gb = G[off:off + ln]
-            nonzero = np.any(Gb != 0, axis=0)
+            nonzero = np.zeros(G.shape[1], dtype=bool)
+            nonzero[Gb.indices[Gb.data != 0]] = True
             if kind == "s":
                 blocks.append(_lmi_factors(Gb, n, nonzero, next(lmi_terms, ())))
                 continue
@@ -373,13 +379,14 @@ class ColumnFactors:
             span = slice(cols[0], cols[-1] + 1)
             Gb = Gb[:, span]
             if kind == "l":
-                blocks.append((span, Gb))
+                blocks.append((span, Gb.toarray()))
                 continue
-            g0 = scipy.sparse.csr_array(Gb[:1])
-            Gt = scipy.sparse.csr_array(Gb[1:].T)
+            # a (1, k) slice: what G[i] returns differs across scipy versions
+            g0 = Gb[:1]
+            Gt = Gb[1:].T.tocsr()
             C = scipy.sparse.coo_array(g0.T @ g0 - Gt @ Gt.T)
             nz = C.data != 0
-            blocks.append((span, Gb[0].copy(), Gt,
+            blocks.append((span, g0.toarray()[0], Gt,
                            (C.row[nz] + span.start, C.col[nz] + span.start, C.data[nz])))
         return cls(G.shape[1], blocks)
 
@@ -399,8 +406,9 @@ def _add(H: np.ndarray, rows, cols, M: np.ndarray) -> None:
         H[np.ix_(ar[rows], ar[cols])] += M
 
 
-def _lmi_factors(Gb: np.ndarray, n: int, nonzero: np.ndarray, terms):
-    """(eig, terms, F) of an LMI block, or None when no column enters it.
+def _lmi_factors(Gb, n: int, nonzero: np.ndarray, terms):
+    """(eig, terms, F) of an LMI block Gb (CSR), or None when no column
+    enters it.
 
     F stacks the eigen-terms Q of _psd_terms and then U and V of every
     recorded (cols, U, V), so one Gram of Rinv F per iteration serves the
@@ -427,7 +435,7 @@ def _lmi_factors(Gb: np.ndarray, n: int, nonzero: np.ndarray, terms):
     if len(cols):
         e = np.arange(cols[0], cols[-1] + 1)
         e = e[~in_term[e]]
-        Q, sgn, starts = _psd_terms(Gb[:, e], n)
+        Q, sgn, starts = _psd_terms(Gb[:, e].toarray(), n)
         eig = (_index(e), sgn, starts)
         factors.insert(0, Q)
     elif not recorded:

@@ -17,14 +17,14 @@ certificate in the ConicSolution's x/z instead of a solution:
 
 Each iteration factors the KKT system through its d x d Schur block
 G'(W'W)^{-1}G, assembled per cone block from factors of G's columns that are
-computed once per solve (cones.ColumnFactors, Scaling.scale_G): no dense
-W^{-T}G is formed. LMI columns that a matrix variable fills by a fixed
-congruence arrive as terms (U, V) and get Kronecker-product Schur blocks;
-the other LMI columns are eigendecomposed; an SOC block adds a rank-one
-update and its sparse constant part. The Schur block is dense, assembled
-into one buffer per solve and LU-factored in place; a regularised retry
-assembles it again. Everything else multiplies by G in sparse (CSR) form:
-the residuals, the certificate checks and the KKT solves.
+computed once per solve (cones.ColumnFactors, Scaling.scale_G): neither
+W^{-T}G nor a dense G is formed. LMI columns that a matrix variable fills by
+a fixed congruence arrive as terms (U, V) and get Kronecker-product Schur
+blocks; the other LMI columns are eigendecomposed; an SOC block adds a
+rank-one update and its sparse constant part. The Schur block is dense,
+assembled into one buffer per solve and LU-factored in place; a regularised
+retry assembles it again. Everything else multiplies by G in sparse (CSR)
+form: the residuals, the certificate checks and the KKT solves.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class _KKT:
     def __init__(self, G, dims: ConeDims, terms=()):
         self.G = scipy.sparse.csr_array(G)
         self.Gt = self.G.T.tocsr()
-        self.fac = ColumnFactors.of(G, dims, terms)
+        self.fac = ColumnFactors.of(self.G, dims, terms)
         self.M = np.empty((G.shape[1], G.shape[1]))
 
     def factor(self, scaling: Scaling) -> None:
@@ -146,7 +146,7 @@ class _KKT:
 
 def conelp(
     c: np.ndarray,
-    G: np.ndarray,
+    G,
     h: np.ndarray,
     dims: ConeDims,
     *,
@@ -156,9 +156,10 @@ def conelp(
     TOL_FEAS and the duality-gap target gap_tolerance(). terms lists, per LMI
     block, the (cols, U, V) of columns of G that are svec(sym(U E V')) over
     the basis E of a matrix variable (program.ConicProgram.lmi_terms); the
-    Schur block of those columns is built from U and V (cones.ColumnFactors)."""
+    Schur block of those columns is built from U and V (cones.ColumnFactors).
+    G may be dense or sparse: it is turned into CSR once, here."""
     c = np.asarray(c, dtype=float)
-    G = np.asarray(G, dtype=float)
+    G = scipy.sparse.csr_array(G, dtype=float)
     h = np.asarray(h, dtype=float)
     d = c.shape[0]
     if G.shape != (dims.cone_len, d):

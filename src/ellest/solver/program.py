@@ -16,10 +16,11 @@ the covariance programs' Q). Their columns are ordinary triplets like any
 other, written from (U, V), and the records go to the engine beside the
 lowered program, which builds those columns' Schur block from U and V.
 
-lower() is the single place that densifies: it stacks the blocks into the
-engine form (c, G, h, dims) of ipm.conelp with G = -F, h = F0, and solve()
+lower() stacks the blocks into the engine form (c, G, h, dims) of
+ipm.conelp with G = -F as one sparse CSR array and h = F0, and solve()
 passes it with lmi_terms() to conelp and returns the engine's
-ConicSolution as it is.
+ConicSolution as it is. No dense G is formed: only --dump-program's file
+writes G out dense.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+import scipy.sparse
 
 from ..linalg import _svec_scale, _tri_indices, matrix_basis, svec
 from .cones import ConeDims
@@ -63,13 +65,22 @@ class ConicProgram:
     var_table: dict[str, tuple[int, int]]
 
     def lower(self):
-        """The engine form (c, G, h, dims): the blocks' (-F, F0) stacked in order."""
+        """The engine form (c, G, h, dims): the blocks' (-F, F0) stacked in
+        order, G a canonical CSR array (duplicates summed, no stored zeros,
+        sorted indices)."""
         blocks = self.blocks
         offs = np.cumsum([0] + [len(blk.F0) for blk in blocks])
-        G = np.zeros((offs[-1], self.num_vars))
-        np.add.at(G, (np.concatenate([blk.rows + off for blk, off in zip(blocks, offs)]),
-                      np.concatenate([blk.cols for blk in blocks])),
-                  -np.concatenate([blk.vals for blk in blocks]))
+        m, d = int(offs[-1]), self.num_vars
+        keys, entry = np.unique(np.concatenate([(blk.rows + off) * d + blk.cols
+                                                for blk, off in zip(blocks, offs)]),
+                                return_inverse=True)
+        # bincount adds each entry's triplets from zero in the order written
+        vals = np.bincount(entry, weights=-np.concatenate([blk.vals for blk in blocks]),
+                           minlength=len(keys))
+        nz = vals != 0
+        rows, cols = np.divmod(keys[nz], d)
+        G = scipy.sparse.csr_array((vals[nz], cols, np.searchsorted(rows, np.arange(m + 1))),
+                                   shape=(m, d))
         dims = ConeDims(l=sum(blk.dim for blk in blocks if blk.kind == "l"),
                         q=tuple(blk.dim for blk in blocks if blk.kind == "q"),
                         s=tuple(blk.dim for blk in blocks if blk.kind == "s"))
@@ -95,7 +106,7 @@ def set_program_dump(prefix: str | None) -> None:
 
 def _dump_lowered(path: str, prog: ConicProgram, c, G, h, dims) -> None:
     with open(path, "w") as fp:
-        json.dump({"num_vars": prog.num_vars, "c": c.tolist(), "G": G.tolist(),
+        json.dump({"num_vars": prog.num_vars, "c": c.tolist(), "G": G.toarray().tolist(),
                    "h": h.tolist(), "dims": asdict(dims),
                    "var_table": prog.var_table}, fp)
 

@@ -2,8 +2,9 @@
 every private module-level name is referenced somewhere in the package,
 every function the benchmark wraps exists, and the solver's duality-gap
 target is read in one place and passed to no function. One run in a fresh
-interpreter checks that the package and its CLI commands leave
-scipy.optimize and scipy.special unloaded.
+interpreter checks that the package and every CLI command, the refined
+lower bounds and their Chernoff tail included, leave scipy.optimize and
+scipy.special unloaded.
 
 Package __init__ modules are exempt from the import check, since their
 imports are re-exports."""
@@ -144,25 +145,37 @@ io.write_matrix("C.csv", -np.eye(3))
 io.write_ellitope("ell.json", Ellitope.ellipsoid(np.diag([1.0, 2.0, 3.0])))
 io.write_ellitope("box.json", Ellitope.coordinate_box(np.ones(3)))
 loaded = {"import": [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]}
-for argv in (["estimate", "A.csv", "B.csv", "ell.json", "--sigma", "0.5", "--report", "e.json"],
-             ["robust", "A.csv", "B.csv", "ell.json", "E.csv", "F.csv", "--sigma", "0.5",
-              "--radius", "0.3", "--report", "r.json"],
-             ["srisk", "A.csv", "B.csv", "--sigma", "0.5", "--optimize-S", "--report", "s.json"],
-             ["sdprelax", "C.csv", "box.json", "--report", "q.json"],
-             ["experiment", "pendulum", "--horizon", "2", "--out", "pend", "--report", "p.json"]):
+problem = ["A.csv", "B.csv", "ell.json", "--sigma", "0.5"]
+for label, argv in (
+        ("estimate", ["estimate", *problem, "--report", "e.json"]),
+        ("robust", ["robust", "A.csv", "B.csv", "ell.json", "E.csv", "F.csv", "--sigma", "0.5",
+                    "--radius", "0.3", "--report", "r.json"]),
+        ("srisk", ["srisk", "A.csv", "B.csv", "--sigma", "0.5", "--optimize-S",
+                   "--report", "s.json"]),
+        ("sdprelax", ["sdprelax", "C.csv", "box.json", "--report", "q.json"]),
+        ("pendulum", ["experiment", "pendulum", "--horizon", "2", "--out", "pend",
+                      "--report", "p.json"]),
+        ("contraction", ["lower-bound", *problem, "--method", "contraction",
+                         "--report", "lc.json"]),
+        ("quadratic_approx", ["lower-bound", *problem, "--method", "quadratic_approx",
+                              "--report", "lq.json"]),
+        ("ellipsoid", ["experiment", "ellipsoid", "--n", "3", "--refine-deltas", "0.003",
+                       "--out", "ell", "--report", "x.json"])):
     assert ellest.cli.main(argv) == 0, argv
-    loaded[argv[0]] = [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+    loaded[label] = [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
 print(loaded)
 """
 
 
 def test_cli_commands_leave_scipy_optimize_and_special_unloaded(tmp_path):
-    # Phi and its inverse come from the standard library; scipy.optimize is
-    # imported only where the Chernoff tail needs a root
+    # Phi and its inverse come from the standard library, and the Chernoff
+    # tail of the contraction and quadratic-approximation bounds finds its
+    # root by bisection: no command needs scipy.optimize or scipy.special
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     run = subprocess.run([sys.executable, "-c", _COLD_START], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     loaded = ast.literal_eval(run.stdout.strip().splitlines()[-1])
-    assert set(loaded) == {"import", "estimate", "robust", "srisk", "sdprelax", "experiment"}
+    assert set(loaded) == {"import", "estimate", "robust", "srisk", "sdprelax", "pendulum",
+                           "contraction", "quadratic_approx", "ellipsoid"}
     assert all(mods == [] for mods in loaded.values()), loaded

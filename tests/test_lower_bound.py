@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import brentq
 
 from ellest import (
     CONTRACTION,
@@ -30,7 +33,7 @@ from ellest import (
 )
 from ellest import lower_bound
 from ellest.linalg import smat, svec_len
-from ellest.lower_bound import _qs_product_triplets
+from ellest.lower_bound import _chi2_tail, _qs_product_triplets
 from ellest.rng import stream
 
 from conftest import random_psd
@@ -152,6 +155,36 @@ def test_chi2_tail_bound_dominates_monte_carlo():
     Z = rng.multivariate_normal(np.zeros(3), Q, size=200_000)
     mc = float(np.mean(np.einsum("ij,jk,ik->i", Z, S, Z) > 1.0))
     assert chi2_tail_bound(Q, S) >= mc
+
+
+def _chi2_tail_by_brentq(s: np.ndarray) -> float:
+    """_chi2_tail's Chernoff bound with the root found by scipy's brentq."""
+    rho = min(float(np.sum(s)), 1.0)
+    if rho <= 0.0 or s.max() <= 0.0:
+        return 0.0
+    closed = math.exp(-(1.0 - rho + rho * math.log(rho)) / (2.0 * rho))
+    best = 1.0
+    hi = (1.0 - 1e-12) / (2.0 * float(s.max()))
+
+    def fprime(g):
+        return float(np.sum(s / (1.0 - 2.0 * g * s))) - 1.0
+
+    if rho < 1.0 and fprime(hi) > 0.0:
+        g = brentq(fprime, 0.0, hi, xtol=1e-14, rtol=1e-12)
+        best = math.exp(-0.5 * float(np.sum(np.log1p(-2.0 * g * s))) - g)
+    return min(best, closed, 1.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(total=st.floats(1e-6, 0.999), rest=st.lists(st.floats(0.0, 1.0), max_size=60),
+       scale=st.floats(1e-12, 1.0))
+def test_chi2_tail_root_matches_brentq(total, rest, scale):
+    # one eigenvalue of weight 1 and up to 60 others of weight at most
+    # scale: one dominant eigenvalue among many tiny ones for small scale
+    s = np.array([1.0] + [scale * r for r in rest])
+    s *= total / s.sum()
+    got, ref = _chi2_tail(s), _chi2_tail_by_brentq(s)
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_gaussian_quantile_frozen_values():

@@ -130,6 +130,7 @@ def test_mu_enters_only_the_lmi(monkeypatch):
     _, _, mu, _ = build_robust_estimate(um, 1.0, S0, ELL1)
     (prog,) = progs
     _, G, _, dims = prog.lower()
+    G = G.toarray()
     lo, hi = prog.var_table["mu"]
     lmi_rows = sum(svec_len(k) for k in dims.s)
     assert dims.s == (3,) and mu >= 0.0

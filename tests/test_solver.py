@@ -1,6 +1,7 @@
 """Conic engine: hand-checkable programs, random LPs against scipy,
 infeasibility certificates, and the Builder front end."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linprog
 
+from ellest import QUADRATIC_APPROX, Ellitope, EstimationProblem, estimator, lower_bound
 from ellest.linalg import smat, svec, svec_len
+from ellest.lower_bound import _qs_product_triplets, refined_lower_bound
 from ellest.rng import stream
 from ellest.solver import Builder, SolverError, ipm, solve, solve_or_raise
 from ellest.solver.cones import (
@@ -430,7 +433,7 @@ def _terms_case(build, seed: int):
         b.vars("zero", 1)      # a column no block touches
         prog = b.build()
         _, G, _, dims = prog.lower()
-        return rng, G, dims, prog.lmi_terms()
+        return rng, G.toarray(), dims, prog.lmi_terms()
     return make
 
 
@@ -521,7 +524,7 @@ def test_matrix_term_triplets(p, q, k):
     assert np.array_equal(cols, x) and np.array_equal(Ur, U) and np.array_equal(Vr, V)
     # the engine sees G = -F and the factors with G's sign
     _, G, _, _ = prog.lower()
-    np.testing.assert_array_equal(G[-svec_len(order):], -F)
+    np.testing.assert_array_equal(G.toarray()[-svec_len(order):], -F)
     (cols, Ug, Vg), = prog.lmi_terms()[0]
     assert np.array_equal(Ug, -U) and np.array_equal(Vg, V)
 
@@ -538,6 +541,91 @@ def test_matrix_term_rejects_bad_variables():
     L.term(x[0], np.eye(3))
     with pytest.raises(ValueError, match="other entries"):
         b.build()
+
+
+def _dense_lowering(prog) -> np.ndarray:
+    """G = -F of prog as a dense array, each triplet added by np.add.at."""
+    offs = np.cumsum([0] + [len(blk.F0) for blk in prog.blocks])
+    G = np.zeros((offs[-1], prog.num_vars))
+    np.add.at(G, (np.concatenate([blk.rows + off for blk, off in zip(prog.blocks, offs)]),
+                  np.concatenate([blk.cols for blk in prog.blocks])),
+              -np.concatenate([blk.vals for blk in prog.blocks]))
+    return G
+
+
+def test_lower_is_the_canonical_csr_of_the_triplets():
+    # quadratic-approx's QS triplets write each svec-diagonal entry of Q
+    # twice into the same row; a zero triplet, two triplets that cancel and
+    # a column no block touches store nothing
+    rng, n = stream(9, 77), 3
+    b = Builder()
+    x, q, untouched = b.vars("x", 2), b.vars("Q", svec_len(n)), b.vars("untouched", 1)
+    mi, mj, qc, vv = _qs_product_triplets(_spd(rng, n))
+    soc = b.soc(1 + n * n)
+    soc.set_row(0, [x[0]], [1.0])
+    soc.set_triplets(1 + mi * n + mj, q[qc], vv)
+    b.ineq(x, [1.0, 0.0], 1.0)
+    b.lmi(2).set_triplets([0, 0, 2], [x[1], x[1], x[0]], [0.5, -0.5, 1.0])
+    prog = b.build()
+    soc_blk = prog.blocks[2]
+    written = soc_blk.rows * prog.num_vars + soc_blk.cols
+    assert len(np.unique(written)) < len(written)
+    _, G, _, _ = prog.lower()
+    ref = _dense_lowering(prog)
+    assert G.format == "csr" and G.has_canonical_format and np.all(G.data != 0)
+    assert G.shape == ref.shape and G.nnz == np.count_nonzero(ref)
+    assert G.toarray().tobytes() == ref.tobytes()
+    assert not ref[:, untouched].any() and not ref[:, x[1]].any()
+
+
+def _problem(n: int, seed: int) -> EstimationProblem:
+    rng = stream(seed, n)
+    return EstimationProblem(rng.standard_normal((n, n)), np.eye(n), 0.1,
+                             Ellitope.ellipsoid(np.diag(np.arange(1.0, n + 1))))
+
+
+def test_conelp_solves_dense_and_sparse_g_alike(monkeypatch):
+    # a quadratic-approximation covariance program (orthant, SOC and LMI
+    # blocks, duplicate triplets, matrix-variable columns) from its CSR G
+    # and from the same G dense
+    progs, real = [], lower_bound.solve_or_raise
+    monkeypatch.setattr(lower_bound, "solve_or_raise",
+                        lambda prog: progs.append(prog) or real(prog))
+    refined_lower_bound(_problem(3, 5), QUADRATIC_APPROX, 0.05)
+    prog = progs[-1]
+    c, G, h, dims = prog.lower()
+    sparse = conelp(c, G, h, dims, terms=prog.lmi_terms())
+    dense = conelp(c, G.toarray(), h, dims, terms=prog.lmi_terms())
+    assert sparse.is_optimal and sparse.iterations == dense.iterations
+    assert sparse.x.tobytes() == dense.x.tobytes()
+    assert sparse.z.tobytes() == dense.z.tobytes()
+
+
+class _Built(Exception):
+    pass
+
+
+def test_lowering_and_column_factors_stay_below_half_a_dense_g(monkeypatch):
+    # an n = 24 design program: G is 1,755 x 578 with 14,427 nonzeros, so
+    # neither lower() nor ColumnFactors.of may hold it dense
+    progs = []
+
+    def capture(prog):
+        progs.append(prog)
+        raise _Built
+
+    monkeypatch.setattr(estimator, "solve_or_raise", capture)
+    with pytest.raises(_Built):
+        estimator.build_linear_estimate(_problem(24, 6))
+    (prog,) = progs
+    tracemalloc.start()
+    try:
+        _, G, _, dims = prog.lower()
+        ColumnFactors.of(G, dims, prog.lmi_terms())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dims.cone_len * prog.num_vars / 2
 
 
 @pytest.mark.parametrize("dims", [
