@@ -209,12 +209,6 @@ def phi_terms(b: Builder, tset: TSet, lam_idx: np.ndarray):
     return w, np.ones(1)
 
 
-def add_support_epigraph(b: Builder, tset: TSet, lam_idx: np.ndarray) -> None:
-    """Add phi_T(lam) to the objective of b (lam >= 0 assumed)."""
-    cols, vals = phi_terms(b, tset, lam_idx)
-    b.objective(cols, vals)
-
-
 @dataclass(frozen=True)
 class Ellitope:
     """{x : exists t in T, x'S_k x <= t_k}."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellitope import SEGMENT, Ellitope, add_support_epigraph
+from .ellitope import SEGMENT, Ellitope, phi_terms
 from .linalg import psd_sqrt
 from .rng import stream
 from .solver import Builder, ConicSolution, solve_or_raise
@@ -132,7 +132,7 @@ def build_linear_estimate(prob: EstimationProblem) -> LinearEstimate:
     u = b.vars("u", 1)
     b.nonneg(lam)
     b.objective(u, [prob.sigma ** 2])
-    add_support_epigraph(b, ell.tset, lam)
+    b.objective(*phi_terms(b, ell.tset, lam))
     add_frobenius_epigraph(b, h, u[0])
     L = b.lmi(n + nu)
     add_design_lmi(L, A, B, ell.S, lam, h)

@@ -11,6 +11,10 @@ Probability bookkeeping uses chi-square tail bounds (closed form and the
 1-parameter Chernoff form), a rho-contraction family, a quadratic
 approximation of the ellipsoid chance constraint, and exact Gaussian
 marginals for parallelotopes.
+
+One program maximizes phi over rho times the admissible set: rho = 1 is
+Opt_*, rho(delta) the contraction bound and 1/q^2 the parallelotope. One
+reader turns a solve's LMI multiplier into an admissible covariance.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellitope import BOX, SEGMENT, Ellitope, add_support_epigraph, add_tset_cone
+from .ellitope import BOX, SEGMENT, Ellitope, add_tset_cone, phi_terms
 from .estimator import EstimationProblem, build_linear_estimate
 from .linalg import (
     SQRT2,
@@ -175,42 +179,41 @@ def phi_gauss(Q: np.ndarray, A: np.ndarray, B: np.ndarray, sigma: float) -> floa
     return max(val, 0.0)
 
 
-def _add_q_in_script_q(b: Builder, ell: Ellitope, q_idx: np.ndarray,
-                       rho_scale: float = 1.0) -> None:
-    """Constraints Tr(Q S_k) <= rho_scale * t_k with t in T, t a new
-    variable group. Q >= 0 is left to the caller."""
-    t = b.vars("t", ell.K)
-    for k in range(ell.K):
-        sv = svec(ell.S[k])
-        nz = np.nonzero(sv)[0]
-        b.ineq(np.concatenate([q_idx[nz], [t[k]]]),
-               np.concatenate([sv[nz], [-rho_scale]]), 0.0)
-    add_tset_cone(b, ell.tset, t)
-
-
-def _add_phi_objective(b: Builder, A: np.ndarray, B: np.ndarray, sigma: float,
-                       q_idx: np.ndarray) -> None:
-    """Epigraph of the Bayesian objective: adds slack G and the Schur block
+def _bayesian_program(prob: EstimationProblem, rho: float | None):
+    """(Builder, Q's indices) of max phi(Q) over Q >= 0 with
+    Tr(QS_k) <= rho t_k, t in T (variable group "t"); rho None leaves Q's
+    set to the caller. phi is the minimized Tr(G) - Tr(BQB') with slack G
+    and the Schur block
 
         [ G      B Q A'              ]
-        [ A Q B' sigma^2 I_m + A Q A']  >= 0
-
-    and sets the (minimization) objective Tr(G) - Tr(B Q B')."""
+        [ A Q B' sigma^2 I_m + A Q A']  >= 0."""
+    A, B, ell = prob.A, prob.B, prob.ell
     m, n = A.shape
     nu = B.shape[0]
+    b = Builder()
+    q = b.vars("Q", svec_len(n))
     g = b.vars("G", svec_len(nu))
     b.objective(g, svec(np.eye(nu)))
-    sv_btb = svec(sym(B.T @ B))
-    b.objective(q_idx, -sv_btb)
+    b.objective(q, -svec(sym(B.T @ B)))
     L = b.lmi(nu + m)
     F0 = np.zeros((nu + m, nu + m))
-    F0[nu:, nu:] = sigma ** 2 * np.eye(m)
+    F0[nu:, nu:] = prob.sigma ** 2 * np.eye(m)
     L.const(F0)
     E = np.eye(nu + m)[:, :nu]
     L.matrix_term(g, E, E)
     # V Q V' - V0 Q V0' with V = [B; A], V0 = [B; 0] is sym(U Q Va') with
     # Va = [0; A] and U = 2 V0 + Va
-    L.matrix_term(q_idx, np.vstack([2 * B, A]), np.vstack([np.zeros_like(B), A]))
+    L.matrix_term(q, np.vstack([2 * B, A]), np.vstack([np.zeros_like(B), A]))
+    b.lmi(n).matrix_term(q, np.eye(n), np.eye(n))
+    if rho is not None:
+        t = b.vars("t", ell.K)
+        for k in range(ell.K):
+            sv = svec(ell.S[k])
+            nz = np.nonzero(sv)[0]
+            b.ineq(np.concatenate([q[nz], [t[k]]]),
+                   np.concatenate([sv[nz], [-rho]]), 0.0)
+        add_tset_cone(b, ell.tset, t)
+    return b, q
 
 
 def solve_bayesian_sdp(prob: EstimationProblem, *,
@@ -218,16 +221,10 @@ def solve_bayesian_sdp(prob: EstimationProblem, *,
     """Maximize Tr(BQB') - Tr(G) over the Schur-complement form of phi(Q)
     with Q in the admissible covariance set of the ellitope. A given
     check_against_opt must match the value to a relative 1e-5."""
-    A, B, ell = prob.A, prob.B, prob.ell
-    n = ell.n
-    b = Builder()
-    q = b.vars("Q", svec_len(n))
-    _add_phi_objective(b, A, B, prob.sigma, q)
-    b.lmi(n).matrix_term(q, np.eye(n), np.eye(n))
-    _add_q_in_script_q(b, ell, q)
+    b, _ = _bayesian_program(prob, 1.0)
     prog = b.build()
     sol = solve_or_raise(prog)
-    Q = smat(sol.var(prog, "Q"), n)
+    Q = smat(sol.var(prog, "Q"), prob.ell.n)
     G = smat(sol.var(prog, "G"), prob.nu)
     t = sol.var(prog, "t").copy()
     opt_star = -float(sol.pobj)
@@ -240,34 +237,44 @@ def solve_bayesian_sdp(prob: EstimationProblem, *,
     return BayesianSolution(Q, t, opt_star, G, sol)
 
 
-def _lmi_multiplier_block(sol: ConicSolution, order: int, n: int) -> np.ndarray:
-    """The top-left n x n block, clipped to PSD, of the multiplier of the
-    program's last LMI (of the given order; its svec ends sol.z)."""
+def _admissible_covariance(sol: ConicSolution, order: int, n: int,
+                           ell: Ellitope | None, S: np.ndarray | None = None):
+    """(W, Tr(WS)) from the multiplier of the program's last LMI (of the
+    given order; its svec ends sol.z): W is its top-left n x n block,
+    clipped to PSD and divided by max(Tr(WS) + load_T(Tr(WS_k)), 1), so
+    that Tr(WS) + load_T(Tr(WS_k)) <= 1 for the returned W. load_T is the
+    gauge 1/tset.boundary_scale of T; ell None (the whole space) has no
+    load, and S None counts as 0."""
     R = psd_sqrt(smat(sol.z[-svec_len(order):], order)[:n, :n])
-    return R @ R
+    W = R @ R
+    tr_ws = 0.0 if S is None else max(float(np.sum(W * S)), 0.0)
+    load = 0.0 if ell is None else \
+        1.0 / ell.tset.boundary_scale(np.einsum("kij,ji->k", ell.S, W))
+    scale = max(tr_ws + load, 1.0)
+    W /= scale
+    return W, tr_ws / scale
 
 
 def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope):
     """max Tr(CQ) over Q >= 0 with Tr(QS_k) <= t_k, t in T, for symmetric C,
     through its dual min phi_T(lam) s.t. sum lam_k S_k >= C, lam >= 0.
-    Returns (value, Q, t): the dual value; the LMI's multiplier, clipped to
-    PSD and scaled into the set; its loads pushed onto the boundary of T.
+    Returns (value, Q, t): the dual value; the LMI's multiplier read into the
+    set (_admissible_covariance); its loads pushed onto the boundary of T.
     Tr(CQ) must match the value to a relative 1e-6."""
     n = ell.n
     b = Builder()
     lam = b.vars("lam", ell.K)
     b.nonneg(lam)
-    add_support_epigraph(b, ell.tset, lam)
+    b.objective(*phi_terms(b, ell.tset, lam))
     L = b.lmi(n)
     L.const(-C)
     for k in range(ell.K):
         L.term(lam[k], ell.S[k])
     sol = solve_or_raise(b.build())
     val = float(sol.pobj)
-    Q = _lmi_multiplier_block(sol, n, n)
+    Q, _ = _admissible_covariance(sol, n, n, ell)
     loads = np.einsum("kij,ji->k", ell.S, Q)
     gam = ell.tset.boundary_scale(loads)
-    Q *= min(gam, 1.0)
     t = gam * loads if np.isfinite(gam) else loads
     if abs(float(np.sum(C * Q)) - val) > 1e-6 * (1.0 + abs(val)):
         raise AssertionError(f"duality gap: Tr(CQ) = {np.sum(C * Q)} vs dual {val}")
@@ -370,18 +377,14 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
     if opt is None:
         opt = build_linear_estimate(prob).opt
 
-    b = Builder()
-    q = b.vars("Q", svec_len(n))
-    _add_phi_objective(b, A, B, prob.sigma, q)
-    b.lmi(n).matrix_term(q, np.eye(n), np.eye(n))
-
     rho = None
     if method == CONTRACTION:
         rho = rho_of_delta(delta, K)
-        _add_q_in_script_q(b, ell, q, rho_scale=rho)
+        b, _ = _bayesian_program(prob, rho)
     elif method == QUADRATIC_APPROX:
         if K != 1 or ell.tset.variant != SEGMENT:
             raise ValueError("quadratic_approx needs a K = 1 ellipsoid")
+        b, q = _bayesian_program(prob, None)
         wf = b.vars("w_fro", 1)
         ws = b.vars("w_spec", 1)
         mi, mj, qc, vv = _qs_product_triplets(ell.S[0])
@@ -402,11 +405,11 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
         if ell.tset.variant not in (SEGMENT, BOX):
             raise ValueError("parallelotope bound needs a box-family T")
         dirs = _extract_rank1_dirs(ell)
+        # every marginal a_k'x with variance at most 1/q^2, q the
+        # 1 - delta/(2K) quantile, leaves |a_k'x| <= 1 with probability at
+        # most delta/K: the set is the admissible one contracted by 1/q^2
         qq = gaussian_quantile(1.0 - delta / (2.0 * K))
-        for k in range(K):
-            sv = svec(np.outer(dirs[k], dirs[k]))
-            nz = np.nonzero(sv)[0]
-            b.ineq(q[nz], sv[nz], 1.0 / qq ** 2)
+        b, _ = _bayesian_program(prob, 1.0 / qq ** 2)
     else:
         raise ValueError(f"unknown refined-bound method {method!r}")
 

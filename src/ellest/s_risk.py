@@ -6,7 +6,8 @@ from the origin. S = 0 recovers the plain worst-case risk. The linear design
 problem gets one extra term tau*S in the slack block of the risk LMI; its
 dual is a Gaussian-prior problem homogenized by a scalar s, and equality of
 the two values holds with s > 0 at the optimum whenever B is nonzero. The
-design solve also gives a point of that dual, read from its LMI multiplier.
+design solve also gives a point of that dual: W is its LMI multiplier read
+into the set by lower_bound's _admissible_covariance, s = 1 - Tr(WS).
 
 The whole-space variant (signal set = all of R^n) drops the ellitope
 constraints entirely; there the linear estimate is exactly minimax among all
@@ -29,7 +30,7 @@ from .estimator import EstimationProblem, add_design_lmi, add_frobenius_epigraph
 from .linalg import min_eig, psd_tolerance, smat, svec, svec_len, sym
 from .lower_bound import (
     LowerBoundReport,
-    _lmi_multiplier_block,
+    _admissible_covariance,
     _rho_scan,
     m_star,
     phi_gauss,
@@ -118,19 +119,13 @@ def build_srisk_estimate(sp: SRiskProblem) -> SRiskEstimate:
 def _srisk_dual(est: SRiskEstimate, A: np.ndarray, B: np.ndarray, sigma: float,
                 S: np.ndarray, ell: Ellitope | None, rtol: float):
     """(value, W, s) at a point of the dual max s phi_sigma(W/s) s.t. W >= 0,
-    Tr(WS) + s <= 1, Tr(WS_k)/s in T, from the design est: W is its LMI
-    multiplier's n x n corner, clipped to PSD and scaled down until
-    Tr(WS) + load_T(Tr(WS_k)) <= 1 (no load in the whole space), s = 1 - Tr(WS)
-    the largest s W allows. value <= tau by weak duality, and must match
-    est.tau to a relative rtol (stationarity in tau gives Tr(WS) + s = 1)."""
+    Tr(WS) + s <= 1, Tr(WS_k)/s in T, from the design est: W is read from
+    its LMI multiplier by _admissible_covariance, s = 1 - Tr(WS) the largest
+    s W allows. value <= tau by weak duality, and must match est.tau to a
+    relative rtol (stationarity in tau gives Tr(WS) + s = 1)."""
     n = A.shape[1]
-    W = _lmi_multiplier_block(est.solution, n + B.shape[0], n)
-    tr_ws = max(float(np.sum(W * S)), 0.0)
-    load = 0.0 if ell is None else \
-        1.0 / ell.tset.boundary_scale(np.einsum("kij,ji->k", ell.S, W))
-    scale = max(tr_ws + load, 1.0)
-    W /= scale
-    s = 1.0 - tr_ws / scale
+    W, tr_ws = _admissible_covariance(est.solution, n + B.shape[0], n, ell, S)
+    s = 1.0 - tr_ws
     val = phi_gauss(W, A, B, sigma * math.sqrt(s))
     if abs(val - est.tau) > rtol * (1.0 + abs(est.tau)):
         raise AssertionError(f"dual value {val} disagrees with design value {est.tau}")

@@ -74,12 +74,6 @@ def relax_quadratic_max(C: np.ndarray, ell: Ellitope):
     return _max_trace_over_covariances(sym(C), ell)
 
 
-def _boundary_multiplier(ell: Ellitope, y: np.ndarray) -> float:
-    """Largest c with sqrt(c)*y still admissible (gauge of the loads
-    through T)."""
-    return ell.tset.boundary_scale(ell.loads(y))
-
-
 def round_rademacher(C: np.ndarray, ell: Ellitope, Q_star: np.ndarray,
                      t_star: np.ndarray, seed: int = 0, budget: int = 200):
     """Draw Rademacher sign vectors until y = Q^(1/2) U xi / sqrt(s_*) lands
@@ -103,7 +97,8 @@ def round_rademacher(C: np.ndarray, ell: Ellitope, Q_star: np.ndarray,
         xi = rng.integers(0, 2, size=ell.n) * 2.0 - 1.0
         y = R @ (U @ xi) / math.sqrt(s_star)
         loads = ell.loads(y)
-        mult = _boundary_multiplier(ell, y)
+        # largest c with sqrt(c) y still admissible
+        mult = ell.tset.boundary_scale(loads)
         if mult > best_mult:
             best_mult, best_y = mult, y
         if np.all(loads <= t_star + 1e-12):
@@ -119,7 +114,7 @@ def round_rademacher(C: np.ndarray, ell: Ellitope, Q_star: np.ndarray,
 
 def _polish_inside(ell: Ellitope, x: np.ndarray) -> np.ndarray:
     """Shave accumulated roundoff so the scaled point is strictly admissible."""
-    fix = _boundary_multiplier(ell, x)
+    fix = ell.tset.boundary_scale(ell.loads(x))
     if np.isfinite(fix) and fix < 1.0:
         x = math.sqrt(fix * (1.0 - 1e-12)) * x
     return x

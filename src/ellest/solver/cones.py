@@ -17,7 +17,8 @@ factors neither s nor z.
 
 Scaling holds one list of per-block factors aligned with ConeDims.blocks(),
 and one loop over it, Scaling.apply, applies W, W', W^{-1} or W^{-T} to a
-cone vector or to the columns of a (cone_len, k) array.
+cone vector or to the columns of a (cone_len, k) array. At s = z = e,
+Scaling.compute gives exactly the identity scaling (the IPM's start).
 
 The IPM's Schur block G'(W'W)^{-1}G is never built from a dense W^{-T}G.
 ColumnFactors splits the sparse G once per solve into per-block pieces:
@@ -198,19 +199,6 @@ class Scaling:
     dims: ConeDims
     blocks: list
     lam: np.ndarray
-
-    @classmethod
-    def identity(cls, dims: ConeDims) -> "Scaling":
-        e = dims.identity()
-        blocks = []
-        for kind, off, ln, n in dims.blocks():
-            if kind == "l":
-                blocks.append(e[off:off + ln])
-            elif kind == "q":
-                blocks.append((1.0, e[off:off + ln]))
-            else:
-                blocks.append((np.eye(n),) * 4)
-        return cls(dims, blocks, dims.identity())
 
     @classmethod
     def compute(cls, dims: ConeDims, s: np.ndarray, z: np.ndarray) -> "Scaling":

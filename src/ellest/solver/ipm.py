@@ -24,7 +24,8 @@ blocks; the other LMI columns are eigendecomposed; an SOC block adds a
 rank-one update and its sparse constant part. The Schur block is dense,
 assembled into one buffer per solve and LU-factored in place; a regularised
 retry assembles it again. Everything else multiplies by G in sparse (CSR)
-form: the residuals, the certificate checks and the KKT solves.
+form: the residuals, the certificate checks and the KKT solves. The start
+factors the KKT system at Scaling.compute(dims, e, e), the identity.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def conelp(
     # Starting point: least-norm primal/dual estimates pushed into the cone.
     kkt = _KKT(G, dims, terms)
     G, Gt = kkt.G, kkt.Gt
-    kkt.factor(Scaling.identity(dims))
+    kkt.factor(Scaling.compute(dims, e, e))
     x, w0 = kkt.solve(np.zeros(d), h.copy())
     s = -w0
     m = cone_margin(dims, s)

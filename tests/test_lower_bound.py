@@ -1,6 +1,7 @@
 """Minimax lower bounds: Bayesian dual value, tail bounds, the rho-family
 bound, set-refinement bounds, and the near-optimality factors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,9 +17,11 @@ from ellest import (
     QUADRATIC_APPROX,
     Ellitope,
     EstimationProblem,
+    SRiskProblem,
     TSet,
     best_refined_lower_bound,
     build_linear_estimate,
+    build_srisk_estimate,
     chi2_tail_bound,
     delta_rho,
     gaussian_quantile,
@@ -30,10 +33,11 @@ from ellest import (
     rho_of_delta,
     simplified_factor,
     solve_bayesian_sdp,
+    whole_space_estimate,
 )
 from ellest import lower_bound
-from ellest.linalg import smat, svec_len
-from ellest.lower_bound import _chi2_tail, _qs_product_triplets
+from ellest.linalg import min_eig, psd_sqrt, smat, svec_len
+from ellest.lower_bound import _admissible_covariance, _chi2_tail, _qs_product_triplets
 from ellest.rng import stream
 
 from conftest import random_psd
@@ -116,6 +120,36 @@ def test_m_star_closed_forms():
     assert m_star(np.eye(3), ell_b) == pytest.approx(
         math.sqrt(np.sum(a ** -2.0)), rel=1e-6)
     assert m_star(np.zeros((2, 3)), ell_e) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_admissible_covariance_lies_in_the_set(monkeypatch):
+    # the multiplier read of an m_star solve, an S-risk design and a
+    # whole-space design: W >= 0 with Tr(WS) + load_T(Tr(WS_k)) <= 1
+    rng = stream(31, 3)
+    n, m, nu = 4, 3, 2
+    ell = Ellitope(n, np.stack([random_psd(rng, n), random_psd(rng, n)]),
+                   TSet.pnorm_ball(2, 4.0))
+    A, B, S = rng.standard_normal((m, n)), rng.standard_normal((nu, n)), random_psd(rng, n)
+    sols = []
+    real = lower_bound.solve_or_raise
+    monkeypatch.setattr(lower_bound, "solve_or_raise",
+                        lambda prog: sols.append(real(prog)) or sols[-1])
+    m_star(B, ell)
+    srisk = build_srisk_estimate(SRiskProblem(EstimationProblem(A, B, 0.5, ell), S))
+    cases = [(sols[0], n, ell, None), (srisk.solution, n + nu, ell, S),
+             (whole_space_estimate(A, B, 0.5, S).solution, n + nu, None, S)]
+    for sol, order, e, S_ in cases:
+        W, tr_ws = _admissible_covariance(sol, order, n, e, S_)
+        assert min_eig(W) >= -1e-14 * np.abs(W).max()
+        load = 0.0 if e is None else 1.0 / e.tset.boundary_scale(np.einsum("kij,ji->k", e.S, W))
+        assert tr_ws == pytest.approx(0.0 if S_ is None else np.sum(W * S_), rel=1e-12, abs=1e-15)
+        assert tr_ws + load <= 1.0 + 1e-12
+        assert tr_ws + load >= 0.5           # on or near the boundary: W is not 0
+        # half the multiplier has its loads inside the set: W is the clipped
+        # block itself, bit for bit
+        half = dataclasses.replace(sol, z=0.5 * sol.z)
+        R = psd_sqrt(smat(half.z[-svec_len(order):], order)[:n, :n])
+        assert np.array_equal(_admissible_covariance(half, order, n, e, S_)[0], R @ R)
 
 
 # --- deviation calculus ---
@@ -294,6 +328,22 @@ def test_parallelotope_on_box():
     ms = m_star(np.eye(3), ell)
     r = refined_lower_bound(prob, PARALLELOTOPE, 0.1, opt=est.opt, mstar=ms)
     assert 0 <= r.lb <= math.sqrt(est.opt) + 1e-9
+
+
+def test_parallelotope_is_the_contracted_bayesian_program():
+    # the parallelotope set is the admissible set contracted by rho = 1/q^2,
+    # and phi_sigma(rho Q) = rho phi_{sigma/sqrt(rho)}(Q): its value is
+    # 1/q^2 times the Bayesian value at noise sigma q
+    rng = stream(31, 4)
+    ell = Ellitope.coordinate_box(np.array([1.0, 0.5, 0.25]))
+    A, B = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+    sigma, delta = 0.3, 0.1
+    q = gaussian_quantile(1.0 - delta / 6.0)
+    r = refined_lower_bound(EstimationProblem(A, B, sigma, ell), PARALLELOTOPE, delta,
+                            opt=1.0, mstar=1.0)
+    bayes = solve_bayesian_sdp(EstimationProblem(A, B, sigma * q, ell))
+    assert r.details["opt_delta"] == pytest.approx(bayes.opt_star / q ** 2, rel=1e-6)
+    assert r.rho is None
 
 
 def test_parallelotope_quantile_cap():

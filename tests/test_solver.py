@@ -453,6 +453,23 @@ GRAM_CASES = [
 ]
 
 
+def test_start_scaling_is_the_identity():
+    # conelp factors its start at the NT scaling of (e, e): exactly the
+    # identity in every block, lambda = e
+    dims = ConeDims(l=3, q=(1, 2, 5, 578), s=(1, 2, 13, 48, 65))
+    e = dims.identity()
+    sc = Scaling.compute(dims, e, e)
+    for (kind, off, ln, n), blk in zip(dims.blocks(), sc.blocks):
+        if kind == "l":
+            assert blk.tobytes() == np.ones(ln).tobytes()
+        elif kind == "q":
+            assert blk[0] == 1.0 and blk[1].tobytes() == e[off:off + ln].tobytes()
+        else:
+            assert len(blk) == 4
+            assert all(M.shape == (n, n) and M.tobytes() == np.eye(n).tobytes() for M in blk)
+    assert sc.lam.tobytes() == e.tobytes()
+
+
 @pytest.mark.parametrize("make", GRAM_CASES)
 def test_factored_gram_matches_dense(make):
     # reference: W^{-T} G column by column, then its Gram; matrix_term
@@ -460,7 +477,8 @@ def test_factored_gram_matches_dense(make):
     rng, G, dims, terms = make()
     d = G.shape[1]
     fac = ColumnFactors.of(G, dims, terms)
-    scalings = (Scaling.identity(dims),
+    e = dims.identity()
+    scalings = (Scaling.compute(dims, e, e),
                 Scaling.compute(dims, _interior(rng, dims), _interior(rng, dims)))
     # one buffer, assembled into under each scaling after the other one (both
     # orders), must hold what a fresh assembly gives: a stale entry or a
