@@ -9,6 +9,8 @@ w = B x is obtained from the semidefinite design problem
           [ B - H'A            I       ]  >= 0,
 
 whose optimal value Opt certifies Risk^2 <= Opt over the whole set.
+add_design_objective declares (H, lam, u >= Tr(H'H)) and that objective for
+this program and for the S-risk, robust and S-optimization ones.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellitope import SEGMENT, Ellitope, phi_terms
+from .ellitope import SEGMENT, Ellitope, TSet, phi_terms
 from .linalg import psd_sqrt
 from .rng import stream
 from .solver import Builder, ConicSolution, solve_or_raise
@@ -70,15 +72,23 @@ class LinearEstimate:
     solution: ConicSolution | None = field(default=None, repr=False, compare=False)
 
 
-def add_frobenius_epigraph(b: Builder, h_idx: np.ndarray, u_col: int) -> None:
-    """Constrain sum of squares of the h variables <= u via one cone block:
-    ||[2h; u-1]|| <= u+1."""
-    h_idx = np.asarray(h_idx, dtype=int)
-    d = len(h_idx)
-    soc = b.soc(d + 2)
-    soc.set_row(0, [u_col], [1.0], 1.0)
-    soc.set_row(1, [u_col], [1.0], -1.0)
-    soc.set_triplets(np.arange(2, d + 2), h_idx, np.full(d, 2.0))
+def add_design_objective(b: Builder, sigma: float, m: int, nu: int, tset: TSet | None):
+    """Declare the design variables H (m x nu, row-major), lam >= 0 (none
+    when tset is None: the whole space) and u >= ||H||_F^2, the last as one
+    cone block ||[2h; u-1]|| <= u+1. Returns the indices (H, lam) and the
+    risk bound sigma^2 u + phi_T(lam) as linear terms (cols, vals)."""
+    h = b.vars("H", m * nu)
+    lam = b.vars("lam", tset.K) if tset is not None else np.zeros(0, dtype=int)
+    u = b.vars("u", 1)
+    cols, vals = lam, np.zeros(0)
+    if tset is not None:
+        b.nonneg(lam)
+        cols, vals = phi_terms(b, tset, lam)
+    soc = b.soc(m * nu + 2)
+    soc.set_row(0, u, [1.0], 1.0)
+    soc.set_row(1, u, [1.0], -1.0)
+    soc.set_triplets(np.arange(2, m * nu + 2), h, np.full(m * nu, 2.0))
+    return h, lam, (np.concatenate([u, cols]), np.concatenate([[sigma ** 2], vals]))
 
 
 def add_design_lmi(L, A: np.ndarray, B: np.ndarray, S: np.ndarray,
@@ -124,18 +134,12 @@ def add_neg_product(L, M: np.ndarray, h_idx: np.ndarray, nu: int,
 def build_linear_estimate(prob: EstimationProblem) -> LinearEstimate:
     """Solve the design problem and package the optimal (H, lam)."""
     A, B, ell = prob.A, prob.B, prob.ell
-    m, n, nu, K = prob.m, ell.n, prob.nu, ell.K
+    m, n, nu = prob.m, ell.n, prob.nu
 
     b = Builder()
-    h = b.vars("H", m * nu)
-    lam = b.vars("lam", K)
-    u = b.vars("u", 1)
-    b.nonneg(lam)
-    b.objective(u, [prob.sigma ** 2])
-    b.objective(*phi_terms(b, ell.tset, lam))
-    add_frobenius_epigraph(b, h, u[0])
-    L = b.lmi(n + nu)
-    add_design_lmi(L, A, B, ell.S, lam, h)
+    h, lam, bound = add_design_objective(b, prob.sigma, m, nu, ell.tset)
+    b.objective(*bound)
+    add_design_lmi(b.lmi(n + nu), A, B, ell.S, lam, h)
 
     prog = b.build()
     sol = solve_or_raise(prog)

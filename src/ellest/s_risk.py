@@ -15,7 +15,9 @@ estimates, which the dual point of the same solve certifies.
 optimize_S_bisection treats S itself as a design variable under a trace
 budget. The product tau*S makes that program bilinear, but in T = tau*S it
 is jointly convex in (tau, T, H), so one SDP gives the smallest achievable
-S-risk level and S = T/tau (T >= 0 is implied by the design LMI).
+S-risk level and S = T/tau (T >= 0 is implied by the design LMI). Each
+program declares tau after estimator.add_design_objective's (H, lam, u), so
+the design LMI's scalar columns (lam, tau, mu) follow its matrix variable H.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellitope import Ellitope, TSet, phi_terms
-from .estimator import EstimationProblem, add_design_lmi, add_frobenius_epigraph, check_observation
+from .ellitope import Ellitope, TSet
+from .estimator import EstimationProblem, add_design_lmi, add_design_objective, check_observation
 from .linalg import min_eig, psd_tolerance, smat, svec, svec_len, sym
 from .lower_bound import (
     LowerBoundReport,
@@ -74,22 +76,14 @@ class SRiskEstimate:
 
 def _add_srisk_objective(b: Builder, sigma: float, m: int, nu: int,
                          tset: TSet | None):
-    """Variables (tau, H, lam, u) with objective tau, the Frobenius
-    epigraph ||H||_F^2 <= u and sigma^2 u + phi_T(lam) <= tau, lam >= 0.
-    With tset None there is no lam (whole space). Returns the indices
-    (tau, H, lam); the caller adds the design LMI."""
+    """The design variables of add_design_objective (no lam when tset is
+    None: the whole space) and, declared after them, tau with objective tau
+    and sigma^2 u + phi_T(lam) <= tau. Returns the indices (tau, H, lam);
+    the caller adds the design LMI."""
+    h, lam, (cols, vals) = add_design_objective(b, sigma, m, nu, tset)
     tau = b.vars("tau", 1)
-    h = b.vars("H", m * nu)
-    lam = b.vars("lam", tset.K) if tset is not None else np.zeros(0, dtype=int)
-    u = b.vars("u", 1)
     b.objective(tau, [1.0])
-    add_frobenius_epigraph(b, h, u[0])
-    cols, vals = lam, np.zeros(0)
-    if tset is not None:
-        b.nonneg(lam)
-        cols, vals = phi_terms(b, tset, lam)
-    b.ineq(np.concatenate([u, cols, tau]),
-           np.concatenate([[sigma ** 2], vals, [-1.0]]), 0.0)
+    b.ineq(np.concatenate([cols, tau]), np.concatenate([vals, [-1.0]]), 0.0)
     return tau, h, lam
 
 

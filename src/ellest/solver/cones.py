@@ -25,7 +25,9 @@ ColumnFactors splits the sparse G once per solve into per-block pieces:
 orthant rows, an SOC block's first row g0, the sparse rest of its rows and
 the nonzeros of its constant G_b'JG_b, and for an LMI the factors (U, V) of
 the columns a matrix variable X fills as sym(U X V') plus low-rank
-eigenvector terms of every other column, grouped by column. Only the
+eigenvector terms of every other column, grouped by column: one slice per
+LMI, in which a matrix variable's (consecutive) columns count as zero, so
+every Schur entry is added to a slice of the buffer. Only the
 orthant rows, g0 and the eigendecomposed LMI columns are made dense.
 Scaling.scale_G assembles the block from them each iteration, in place in
 one buffer: a diagonal weighting; for
@@ -50,7 +52,7 @@ from scipy.linalg.blas import dger
 
 from ..linalg import matrix_basis, safe_cholesky, smat, svec, svec_len
 
-# Columns per batch of eigh calls in _psd_terms: bounds the (chunk, n, n) temporaries.
+# Columns per eigh call in _psd_terms: bounds the (chunk, n, n) temporaries.
 PSD_CHUNK = 256
 # Eigenvalues of a PSD column below this fraction of its largest are dropped.
 RANK_TOL = 1e-13
@@ -349,7 +351,7 @@ class ColumnFactors:
         """G dense or sparse; terms lists, per LMI block in cone order, the
         (cols, U, V) of the columns that are svec(sym(U E V')) over the basis
         E of a matrix variable (see linalg.matrix_basis), with G's sign;
-        those columns are not eigendecomposed."""
+        those columns, consecutive, are not eigendecomposed."""
         G = scipy.sparse.csr_array(G)
         blocks = []
         lmi_terms = iter(terms)
@@ -379,52 +381,43 @@ class ColumnFactors:
         return cls(G.shape[1], blocks)
 
 
-def _index(cols: np.ndarray):
-    """cols as a slice when they are consecutive, else as they are."""
-    if np.all(np.diff(cols) == 1):
-        return slice(int(cols[0]), int(cols[-1]) + 1)
-    return cols
-
-
-def _add(H: np.ndarray, rows, cols, M: np.ndarray) -> None:
-    if isinstance(rows, slice) and isinstance(cols, slice):
-        H[rows, cols] += M
-    else:
-        ar = np.arange(len(H))
-        H[np.ix_(ar[rows], ar[cols])] += M
-
-
 def _lmi_factors(Gb, n: int, nonzero: np.ndarray, terms):
     """(eig, terms, F) of an LMI block Gb (CSR), or None when no column
     enters it.
 
     F stacks the eigen-terms Q of _psd_terms and then U and V of every
     recorded (cols, U, V), so one Gram of Rinv F per iteration serves the
-    whole block. terms holds (idx, fold, u, v) per record: idx its columns
-    (_index); fold None for a row-major X, or, for a symmetric X, the
-    row-major positions of (a, b) and (b, a) and div of its svec basis; u and
-    v the slices of U and V in F past Q. eig is None when every nonzero
-    column is a term column, else (idx, sgn, starts): the columns from the
-    first nonzero non-term column to the last, less the term columns, and
-    the signs of their eigen-terms and where each column's terms start in Q.
+    whole block. terms holds (idx, fold, u, v) per record: idx the slice of
+    its columns, which must be consecutive (ValueError otherwise); fold None
+    for a row-major X, or, for a symmetric X, the row-major positions of
+    (a, b) and (b, a) and div of its svec basis; u and v the slices of U and
+    V in F past Q. eig is None when every nonzero column is a term column,
+    else (idx, sgn, starts): idx the one slice of columns from the first
+    nonzero non-term column to the last, sgn the signs of their eigen-terms
+    and starts where each column's terms start in Q. A term column inside
+    that run is zeroed first, so it gets one zero term.
     """
     in_term = np.zeros(len(nonzero), dtype=bool)
     recorded, factors, off = [], [], 0
     for cols, U, V in terms:
+        if np.any(np.diff(cols) != 1):
+            raise ValueError("a matrix_term's columns must be consecutive")
         in_term[cols] = True
         p, q = U.shape[1], V.shape[1]
         a, b, div = matrix_basis(p, q, len(cols))
-        recorded.append((_index(cols), None if div is None else (a * p + b, b * p + a, div),
+        recorded.append((slice(int(cols[0]), int(cols[-1]) + 1),
+                         None if div is None else (a * p + b, b * p + a, div),
                          slice(off, off + p), slice(off + p, off + p + q)))
         factors += [U, V]
         off += p + q
     cols = np.flatnonzero(nonzero & ~in_term)
     eig = None
     if len(cols):
-        e = np.arange(cols[0], cols[-1] + 1)
-        e = e[~in_term[e]]
-        Q, sgn, starts = _psd_terms(Gb[:, e].toarray(), n)
-        eig = (_index(e), sgn, starts)
+        e = slice(int(cols[0]), int(cols[-1]) + 1)
+        Ge = Gb[:, e].toarray()
+        Ge[:, in_term[e]] = 0.0
+        Q, sgn, starts = _psd_terms(Ge, n)
+        eig = (e, sgn, starts)
         factors.insert(0, Q)
     elif not recorded:
         return None
@@ -448,9 +441,9 @@ def _add_folded(H: np.ndarray, ti, tj, fi, fj, T: np.ndarray, mirror: bool) -> N
     """Add T, over the row-major entries of two matrix variables, folded onto
     their bases to H[ti, tj], and its transpose to H[tj, ti] when mirror."""
     T = _fold(_fold(T, fi, 0), fj, 1)
-    _add(H, ti, tj, T)
+    H[ti, tj] += T
     if mirror:
-        _add(H, tj, ti, T.T)
+        H[tj, ti] += T.T
 
 
 def _lmi_schur(H: np.ndarray, Rinv: np.ndarray, eig, terms, F) -> None:
@@ -482,15 +475,15 @@ def _lmi_schur(H: np.ndarray, Rinv: np.ndarray, eig, terms, F) -> None:
         Z *= sgn[:, None]
         # sum the rows, then the columns, of each column's terms
         Z = np.add.reduceat(Z, starts, axis=0) * sgn
-        _add(H, idx, idx, np.add.reduceat(Z, starts, axis=1))
+        H[idx, idx] += np.add.reduceat(Z, starts, axis=1)
     YW, Gw = Gm[:N, N:], Gm[N:, N:]
     Gh = 0.5 * Gw
     for i, (ti, fi, ui, vi) in enumerate(terms):
         if N:
             C = (YW[:, ui, None] * (YW[:, None, vi] * sgn[:, None, None])).reshape(N, -1)
             C = np.add.reduceat(_fold(C, fi, 1), starts, axis=0)
-            _add(H, idx, ti, C)
-            _add(H, ti, idx, C.T)
+            H[idx, ti] += C
+            H[ti, idx] += C.T
         rows = (ui.stop - ui.start) * (vi.stop - vi.start)
         for j, (tj, fj, uj, vj) in enumerate(terms[i:], i):
             # T[(a, b), (c, d)] = K1[a, c] K2[b, d] + X[a, d] Y[b, c], halved
@@ -511,7 +504,8 @@ def _lmi_schur(H: np.ndarray, Rinv: np.ndarray, eig, terms, F) -> None:
 def _psd_terms(Gb: np.ndarray, n: int):
     """Low-rank terms of the columns of an LMI block: column i is svec of
     F_i = sum_r w_r q_r q_r' over its eigenpairs, those under RANK_TOL of the
-    largest |w| dropped (a zero column keeps one zero term).
+    largest |w| dropped (a zero column keeps one zero term). Each batch of
+    PSD_CHUNK columns is eigendecomposed by one np.linalg.eigh at order n.
 
     Returns Q, whose columns are sqrt|w_r| q_r, sgn = sign(w_r), and starts.
     Each column's terms are contiguous and the columns come in order: column
@@ -520,17 +514,7 @@ def _psd_terms(Gb: np.ndarray, n: int):
     """
     Qs, sgns, ranks = [], [], []
     for lo in range(0, Gb.shape[1], PSD_CHUNK):
-        F = smat(Gb[:, lo:lo + PSD_CHUNK].T, n)
-        # eigh on the rows a column touches, batched over columns touching
-        # equally many: most LMI columns are sparse
-        touched = np.any(F != 0, axis=2)
-        size = touched.sum(axis=1)
-        lam, V = np.zeros(F.shape[:2]), np.zeros(F.shape)
-        for m in np.unique(size[size > 0]):
-            i = np.flatnonzero(size == m)
-            rows = np.nonzero(touched[i])[1].reshape(len(i), m)
-            lam[i, :m], vecs = np.linalg.eigh(F[i[:, None, None], rows[:, :, None], rows[:, None, :]])
-            V[i[:, None, None], rows[:, :, None], np.arange(m)] = vecs
+        lam, V = np.linalg.eigh(smat(Gb[:, lo:lo + PSD_CHUNK].T, n))
         order = np.argsort(-np.abs(lam), axis=1)
         lam = np.take_along_axis(lam, order, axis=1)
         rank = np.maximum(np.sum(np.abs(lam) > RANK_TOL * np.abs(lam[:, :1]), axis=1), 1)

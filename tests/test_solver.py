@@ -9,11 +9,28 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linprog
 
-from ellest import QUADRATIC_APPROX, Ellitope, EstimationProblem, estimator, lower_bound
+from ellest import (
+    CONTRACTION,
+    PARALLELOTOPE,
+    QUADRATIC_APPROX,
+    Ellitope,
+    EstimationProblem,
+    SRiskProblem,
+    UncertaintyModel,
+    build_linear_estimate,
+    build_robust_estimate,
+    build_srisk_estimate,
+    estimator,
+    lower_bound,
+    m_star,
+    optimize_S_bisection,
+    solve_bayesian_sdp,
+    whole_space_estimate,
+)
 from ellest.linalg import smat, svec, svec_len
 from ellest.lower_bound import _qs_product_triplets, refined_lower_bound
 from ellest.rng import stream
-from ellest.solver import Builder, SolverError, ipm, solve, solve_or_raise
+from ellest.solver import Builder, SolverError, ipm, program, solve, solve_or_raise
 from ellest.solver.cones import (
     PSD_CHUNK,
     ColumnFactors,
@@ -402,7 +419,7 @@ def _robust_terms(b, rng):
 
 def _mixed_terms(b, rng):
     # other cones beside the LMIs; eigen columns on both sides of the term
-    # columns (a non-contiguous eigen set), an all-zero column among them,
+    # columns (term columns inside the eigen run), an all-zero column among them,
     # and a rectangular and a symmetric term in one block
     lam, h, unused, t, u = (b.vars(k, n) for k, n in
                             (("lam", 2), ("H", 4), ("unused", 1), ("T", 3), ("u", 1)))
@@ -741,3 +758,73 @@ def test_kkt_rejects_a_nan_scaling():
     sc = Scaling(dims, [np.array([1.0, np.nan, 1.0])], dims.identity())
     with pytest.raises(np.linalg.LinAlgError, match="KKT system is singular"):
         _KKT(np.eye(3), dims).factor(sc)
+
+
+def _layout_cases():
+    rng = stream(6, 3000)
+    A, B = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
+    ell = Ellitope.ellipsoid(np.diag([1.0, 2.0, 3.0, 4.0]))
+    box = Ellitope.coordinate_box(np.array([1.0, 0.5, 2.0, 1.5]))
+    um = UncertaintyModel(A, B, 0.1 * np.ones((2, 5)), 0.1 * np.ones((2, 4)), 0.5)
+    S = np.eye(4)
+
+    def on(signals):
+        return EstimationProblem(A, B, 0.3, signals)
+
+    return {
+        "design-ellipsoid": lambda: build_linear_estimate(on(ell)),
+        "design-box": lambda: build_linear_estimate(on(box)),
+        "srisk-ellitope": lambda: build_srisk_estimate(SRiskProblem(on(box), S)),
+        "srisk-whole-space": lambda: whole_space_estimate(A, B, 0.3, S),
+        "robust": lambda: build_robust_estimate(um, 0.3, S, ell),
+        "optimize-S": lambda: optimize_S_bisection(A, B, 0.3),
+        "m-star": lambda: m_star(B, box),
+        "bayesian": lambda: solve_bayesian_sdp(on(ell)),
+        "contraction": lambda: refined_lower_bound(on(box), CONTRACTION, 0.05),
+        "quadratic-approx": lambda: refined_lower_bound(on(ell), QUADRATIC_APPROX, 0.05),
+        "parallelotope": lambda: refined_lower_bound(on(box), PARALLELOTOPE, 0.05),
+    }
+
+
+LAYOUT_CASES = _layout_cases()
+
+
+@pytest.mark.parametrize("case", list(LAYOUT_CASES))
+def test_every_lmi_eigendecomposes_one_slice_beside_its_terms(monkeypatch, case):
+    # every LMI of the package's programs keeps its eigendecomposed columns
+    # in one run, a slice that no matrix variable's columns overlap, so the
+    # Schur assembly adds to slices of the buffer only
+    lowered, real = [], program.conelp
+
+    def record(c, G, h, dims, terms=()):
+        lowered.append((G, dims, terms))
+        return real(c, G, h, dims, terms=terms)
+
+    monkeypatch.setattr(program, "conelp", record)
+    LAYOUT_CASES[case]()
+    assert lowered
+    for G, dims, terms in lowered:
+        fac = ColumnFactors.of(G, dims, terms)
+        lmis = [fb for (kind, *_), fb in zip(dims.blocks(), fac.blocks) if kind == "s"]
+        for eig, recorded, _ in filter(None, lmis):
+            if eig is None:
+                continue
+            run = eig[0]
+            assert isinstance(run, slice)
+            for idx, *_ in recorded:
+                assert idx.stop <= run.start or idx.start >= run.stop
+
+
+def test_conelp_rejects_a_matrix_term_with_scattered_columns():
+    # the columns of a matrix variable are one consecutive run
+    rng = stream(6, 3001)
+    b = Builder()
+    h1, lam, h2 = b.vars("H1", 2), b.vars("lam", 1), b.vars("H2", 2)
+    b.objective(lam, [1.0])
+    L = b.lmi(4)
+    L.term(lam[0], np.eye(4))
+    L.matrix_term(np.concatenate([h1, h2]), rng.standard_normal((4, 2)),
+                  rng.standard_normal((4, 2)))
+    prog = b.build()
+    with pytest.raises(ValueError, match="consecutive"):
+        conelp(*prog.lower(), terms=prog.lmi_terms())
