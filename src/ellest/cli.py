@@ -76,12 +76,13 @@ def cmd_estimate(args) -> int:
     ell = io.read_ellitope(args.ellitope)
     est = build_linear_estimate(EstimationProblem(A, B, args.sigma, ell))
     io.write_matrix(args.out_h, est.H)
+    sol = est.solution          # None when the closed form ran
     _emit({
         "opt": est.opt,
         "risk_bound": est.risk_bound,
         "lambda": est.lam.tolist(),
-        "residuals": {"primal": est.solution.pres, "dual": est.solution.dres,
-                      "compl": est.solution.gap},
+        "residuals": None if sol is None else {"primal": sol.pres, "dual": sol.dres,
+                                               "compl": sol.gap},
         "H_path": args.out_h,
     }, args.report)
     return 0

@@ -11,6 +11,12 @@ w = B x is obtained from the semidefinite design problem
 whose optimal value Opt certifies Risk^2 <= Opt over the whole set.
 add_design_objective declares (H, lam, u >= Tr(H'H)) and that objective for
 this program and for the S-risk, robust and S-optimization ones.
+
+On one ellipsoid (K = 1) with one target row (nu = 1, B = b') no program is
+solved. There T is [0, 1] whatever its variant, phi_T(lam) = lam and the
+S-lemma is exact, so the design is the ridge least-squares problem of
+estimating a linear form (Donoho 1994): with (A'A + sigma^2 S_1) g = b and
+h = A g, Opt = sigma^2 b'g, which is the exact risk of h.
 """
 
 from __future__ import annotations
@@ -65,6 +71,10 @@ class EstimationProblem:
 
 @dataclass(frozen=True)
 class LinearEstimate:
+    """The design (H, lam) with its value Opt and risk bound sqrt(Opt).
+    solution is the design program's conic solution, None when the K = 1,
+    nu = 1 closed form ran and no program was solved."""
+
     H: np.ndarray           # m x nu
     lam: np.ndarray         # K
     opt: float
@@ -132,9 +142,19 @@ def add_neg_product(L, M: np.ndarray, h_idx: np.ndarray, nu: int,
 
 
 def build_linear_estimate(prob: EstimationProblem) -> LinearEstimate:
-    """Solve the design problem and package the optimal (H, lam)."""
+    """The optimal (H, lam) of the design problem. On a K = 1 ellitope with
+    nu = 1 it is the closed form: (A'A + sigma^2 S_1) g = b, h = A g,
+    r = b - A'h, lam = r'S_1^-1 r and Opt = sigma^2 ||h||^2 + lam, the
+    exact risk of h. Every other input solves the SDP."""
     A, B, ell = prob.A, prob.B, prob.ell
     m, n, nu = prob.m, ell.n, prob.nu
+    if ell.K == 1 and nu == 1:
+        S, s2 = ell.S[0], prob.sigma ** 2
+        h = A @ np.linalg.solve(A.T @ A + s2 * S, B[0])
+        r = B[0] - A.T @ h
+        lam = float(r @ np.linalg.solve(S, r))
+        opt = float(s2 * (h @ h) + lam)
+        return LinearEstimate(h[:, None], np.array([lam]), opt, float(np.sqrt(opt)))
 
     b = Builder()
     h, lam, bound = add_design_objective(b, prob.sigma, m, nu, ell.tset)

@@ -66,6 +66,20 @@ def test_estimate_command(inst):
     assert max(report["residuals"].values()) < 1e-6
 
 
+def test_estimate_one_row_reports_no_residuals(inst):
+    # a one-row B on the K = 1 ellipsoid takes the closed form: no conic
+    # solve, so no residuals
+    B1 = str(inst["dir"] / "B1.csv")
+    io.write_matrix(B1, io.read_matrix(inst["B"])[:1])
+    rpt = str(inst["dir"] / "est1.json")
+    rc = main(["estimate", inst["A"], B1, inst["ell"], "--sigma", "0.5",
+               "--out-h", str(inst["dir"] / "H1.csv"), "--report", rpt])
+    assert rc == 0
+    report = read_report(rpt)
+    assert report["risk_bound"] == np.sqrt(report["opt"])
+    assert report["residuals"] is None
+
+
 def test_lower_bound_command(inst):
     rpt = str(inst["dir"] / "lb.json")
     rc = main(["lower-bound", inst["A"], inst["B"], inst["ell"],

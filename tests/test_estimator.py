@@ -7,12 +7,15 @@ import pytest
 from ellest import (
     Ellitope,
     EstimationProblem,
+    TSet,
     apply,
     build_linear_estimate,
     empirical_risk,
     exact_risk_on_ellipsoid,
     worst_case_signal,
 )
+from ellest.ellitope import SEGMENT
+from ellest.experiments import build_pendulum_problem
 from ellest.rng import stream
 
 from conftest import random_problem
@@ -34,6 +37,47 @@ def test_scalar_closed_form(sigma):
     assert est.risk_bound == pytest.approx(np.sqrt(expect), abs=1e-6)
     assert est.H[0, 0] == pytest.approx(1.0 / (1.0 + sigma ** 2), abs=1e-4)
     assert est.lam.shape == (1,)
+
+
+# one-row designs on a K = 1 ellitope, which take the closed form: the
+# horizon-8 pendulum's single targets on its ball, the scalar problem, and a
+# random instance under each T variant that K = 1 admits
+ONE_ROW_CASES = ([f"pendulum-w{t}" for t in range(1, 9)]
+                 + [f"scalar-{sigma}" for sigma in (0.1, 1.0, 10.0)]
+                 + ["segment", "box", "pnorm-2"])
+
+
+def one_row_problem(case: str) -> EstimationProblem:
+    if case.startswith("pendulum"):
+        pp = build_pendulum_problem(T=8)
+        return EstimationProblem(pp.A, pp.input_row(int(case[len("pendulum-w"):])), 0.075,
+                                 Ellitope.ellipsoid(np.eye(pp.n) / pp.n))
+    if case.startswith("scalar"):
+        return scalar_problem(float(case[len("scalar-"):]))
+    rng = stream(23, 0)
+    n, m = 4, 3
+    G = rng.standard_normal((n, n))
+    tset = {"segment": TSet.unit_segment(), "box": TSet.unit_box(1),
+            "pnorm-2": TSet.pnorm_ball(1, 2.0)}[case]
+    return EstimationProblem(rng.standard_normal((m, n)), rng.standard_normal((1, n)), 0.3,
+                             Ellitope(n, (G @ G.T / n + 0.2 * np.eye(n))[None], tset))
+
+
+@pytest.mark.parametrize("case", ONE_ROW_CASES)
+def test_one_row_closed_form_matches_the_sdp(case):
+    # on an ellipsoid the closed form's Opt is the exact risk of its h, and
+    # B = [b; 0] has the same Opt but nu = 2, so it is solved by the SDP
+    prob = one_row_problem(case)
+    est = build_linear_estimate(prob)
+    assert est.solution is None
+    assert est.H.shape == (prob.m, 1) and est.lam.shape == (1,)
+    assert est.risk_bound == np.sqrt(est.opt)
+    if prob.ell.tset.variant == SEGMENT:
+        assert exact_risk_on_ellipsoid(est.H, prob) == pytest.approx(est.opt, rel=1e-12)
+    padded = EstimationProblem(prob.A, np.vstack([prob.B, 0.0 * prob.B]), prob.sigma, prob.ell)
+    sdp = build_linear_estimate(padded)
+    assert sdp.solution is not None and sdp.solution.is_optimal
+    assert sdp.opt == pytest.approx(est.opt, rel=1e-7)
 
 
 def test_validation_errors():

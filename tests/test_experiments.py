@@ -259,10 +259,11 @@ def test_pendulum_run_small(tmp_path):
 def test_pendulum_block_one_reuses_the_last_single_target(conelp_calls):
     cfg = ScenarioConfig(scenario=PENDULUM, sigma_grid=(0.075,), horizon=3)
     records = run_pendulum_experiment(cfg)
-    # 3 single targets + blocks [1, 2, 3], two solves each, less the w_3
-    # pair that block 1 repeats
+    # 3 single targets + blocks [1, 2, 3]: each single target solves its
+    # S-optimization program (its one-row ball design is the closed form),
+    # block 1 repeats w_3, and blocks 2 and 3 solve both programs
     assert len(records) == 6
-    assert len(conelp_calls) == 2 * len(records) - 2
+    assert len(conelp_calls) == 3 + 2 * 2
     by_target = {rec.extras["target"]: rec for rec in records}
     last, block = by_target["w_3"], by_target["w_block_1"]
     assert block.error is None
