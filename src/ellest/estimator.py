@@ -10,7 +10,7 @@ w = B x is obtained from the semidefinite design problem
 
 whose optimal value Opt certifies Risk^2 <= Opt over the whole set.
 add_design_objective declares (H, lam, u >= Tr(H'H)) and that objective for
-this program and for the S-risk, robust and S-optimization ones.
+this program and for the S-risk and robust ones.
 
 On one ellipsoid (K = 1) with one target row (nu = 1, B = b') no program is
 solved. There T is [0, 1] whatever its variant, phi_T(lam) = lam and the

@@ -13,11 +13,12 @@ The whole-space variant (signal set = all of R^n) drops the ellitope
 constraints entirely; there the linear estimate is exactly minimax among all
 estimates, which the dual point of the same solve certifies.
 optimize_S_bisection treats S itself as a design variable under a trace
-budget. The product tau*S makes that program bilinear, but in T = tau*S it
-is jointly convex in (tau, T, H), so one SDP gives the smallest achievable
-S-risk level and S = T/tau (T >= 0 is implied by the design LMI). Each
-program declares tau after estimator.add_design_objective's (H, lam, u), so
-the design LMI's scalar columns (lam, tau, mu) follow its matrix variable H.
+budget c. With M = B - H'A the cheapest tau S is M'M, so the level is
+min_H max(sigma^2 ||H||_F^2, ||M||_F^2 / c), reached on the ridge path of
+one SVD of A where the two terms cross or at its least-squares end (no
+conic solve), and S = M'M / tau has rank at most nu. The S-risk program
+declares tau after estimator.add_design_objective's (H, lam, u), so the
+design LMI's scalar columns (lam, tau, mu) follow its matrix variable H.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .ellitope import Ellitope, TSet
 from .estimator import EstimationProblem, add_design_lmi, add_design_objective, check_observation
-from .linalg import min_eig, psd_tolerance, smat, svec, svec_len, sym
+from .linalg import min_eig, psd_tolerance, sym
 from .lower_bound import (
     LowerBoundReport,
     _admissible_covariance,
@@ -166,29 +167,51 @@ def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
 def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
                          trace_cap: float = 1.0):
     """Smallest achievable S-risk level when S itself is a design variable
-    under Tr(S) <= trace_cap. With T = tau S the program
+    under Tr(S) <= c = trace_cap. With M = B - H'A the whole-space design
+    LMI [[tau S, M'],[M, I]] >= 0 is tau S >= M'M, and the cheapest tau S
+    within the budget is M'M, so the level is the minimax
 
-        min tau  s.t.  [[T, B'-A'H],[B-H'A, I]] >= 0  (hence T >= 0),
-                       sigma^2 ||H||_F^2 <= tau,  Tr(T) <= trace_cap tau
+        tau* = min_H max(f1, f2),  f1 = sigma^2 ||H||_F^2,  f2 = ||M||_F^2 / c.
 
-    is jointly convex in (tau, T, H), so one SDP gives the exact optimum.
-    Returns (S_star, H_star, tau_star) with S_star = T/tau_star."""
+    The minimizer H(theta) of theta f1 + (1 - theta) f2 is a ridge
+    regression, closed form in one thin SVD of A; from the least-squares end
+    theta = 0 to H = 0 at theta = 1, f1 falls and f2 rises. tau* is f2 at
+    theta = 0 when f1 <= f2 there, and otherwise the crossing f1 = f2,
+    bisected to adjacent floats: min_H theta f1 + (1 - theta) f2 is a lower
+    bound on tau* for every theta, and meets max(f1, f2) there. Returns
+    (S_star, H_star, tau_star) with tau_star = max(f1, f2) at H_star and
+    S_star = M'M / tau_star, of rank at most nu: exactly feasible, with
+    tau_star its exact objective."""
     A, B = check_observation(A, B, sigma)
     if not 0 < trace_cap < math.inf:
         raise ValueError(f"trace_cap must be a finite positive number, got {trace_cap}")
-    m, n = A.shape
-    nu = B.shape[0]
-    b = Builder()
-    tau, h, _ = _add_srisk_objective(b, sigma, m, nu, None)
-    t_idx = b.vars("T", svec_len(n))
-    L = b.lmi(n + nu)
-    add_design_lmi(L, A, B, np.zeros((0, n, n)), np.zeros(0, dtype=int), h)
-    E = np.eye(n + nu)[:, :n]
-    L.matrix_term(t_idx, E, E)
-    b.ineq(np.concatenate([t_idx, tau]),
-           np.concatenate([svec(np.eye(n)), [-trace_cap]]), 0.0)
-    prog = b.build()
-    sol = solve_or_raise(prog)
-    tau_val = float(sol.var(prog, "tau")[0])
-    T = smat(sol.var(prog, "T"), n)
-    return T / tau_val, sol.var(prog, "H").reshape(m, nu), tau_val
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    # singular values at rounding level (numpy's matrix_rank cut) are zero
+    s = np.where(s > s[0] * max(A.shape) * np.finfo(float).eps, s, 0.0)
+    C = Vt @ B.T
+    w = np.sum(C * C, axis=1)
+    p = float(np.sum((B.T - Vt.T @ C) ** 2))      # the part of B' no H reaches
+    ridge = sigma ** 2 * trace_cap
+
+    def path(theta):
+        """(h, f1, f2) at H(theta) = U diag(h) C, whose residual
+        B' - A'H(theta) is (B' - V C) + V diag(r) C; at theta = 0 a zero s_i
+        takes h_i = 0, r_i = 1."""
+        den = theta * ridge + (1.0 - theta) * s * s
+        h = np.divide((1.0 - theta) * s, den, out=np.zeros_like(s), where=den > 0)
+        r = np.divide(theta * ridge, den, out=np.ones_like(s), where=den > 0)
+        return h, sigma ** 2 * float(w @ h ** 2), (p + float(w @ r ** 2)) / trace_cap
+
+    _, f1, f2 = path(0.0)
+    lo, hi = 0.0, (1.0 if f1 > f2 else 0.0)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        _, f1, f2 = path(mid)
+        if f1 > f2:
+            lo = mid
+        else:
+            hi = mid
+    theta = min((lo, hi), key=lambda t: max(path(t)[1:]))
+    H = U @ (path(theta)[0][:, None] * C)
+    M = B - H.T @ A
+    tau = max(sigma ** 2 * float(np.sum(H * H)), float(np.sum(M * M)) / trace_cap)
+    return M.T @ M / tau, H, tau

@@ -8,7 +8,11 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from ellest import Ellitope, TSet, EstimationProblem
+from ellest.estimator import add_design_lmi
+from ellest.linalg import smat, svec, svec_len
 from ellest.rng import stream
+from ellest.s_risk import _add_srisk_objective
+from ellest.solver import Builder, solve_or_raise
 
 
 def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
@@ -43,6 +47,29 @@ def random_problem(rng: np.random.Generator, n: int, m: int, nu: int,
     B = rng.standard_normal((nu, n)) / np.sqrt(n)
     s = float(rng.uniform(0.05, 1.0)) if sigma is None else sigma
     return EstimationProblem(A=A, B=B, sigma=s, ell=random_ellitope(rng, n, K))
+
+
+def optimize_S_sdp(A: np.ndarray, B: np.ndarray, sigma: float, trace_cap: float):
+    """Reference for s_risk.optimize_S_bisection as one SDP in T = tau S:
+
+        min tau  s.t.  [[T, B'-A'H],[B-H'A, I]] >= 0  (hence T >= 0),
+                       sigma^2 ||H||_F^2 <= tau,  Tr(T) <= trace_cap tau.
+
+    Returns (S, H, tau) with S = T / tau."""
+    (m, n), nu = A.shape, B.shape[0]
+    b = Builder()
+    tau, h, _ = _add_srisk_objective(b, sigma, m, nu, None)
+    t_idx = b.vars("T", svec_len(n))
+    L = b.lmi(n + nu)
+    add_design_lmi(L, A, B, np.zeros((0, n, n)), np.zeros(0, dtype=int), h)
+    E = np.eye(n + nu)[:, :n]
+    L.matrix_term(t_idx, E, E)
+    b.ineq(np.concatenate([t_idx, tau]),
+           np.concatenate([svec(np.eye(n)), [-trace_cap]]), 0.0)
+    prog = b.build()
+    sol = solve_or_raise(prog)
+    tau_val = float(sol.var(prog, "tau")[0])
+    return smat(sol.var(prog, "T"), n) / tau_val, sol.var(prog, "H").reshape(m, nu), tau_val
 
 
 def pytest_configure(config):

@@ -135,6 +135,28 @@ def test_srisk_optimize_s(inst):
     assert read_report(rpt)["tau"] == pytest.approx(report["tau"], rel=1e-6)
 
 
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 20), m=st.integers(1, 5), n=st.integers(2, 6),
+       nu=st.integers(1, 3), cap=st.floats(0.05, 20.0))
+def test_srisk_optimize_s_reports_rank_at_most_nu(seed, m, n, nu, cap):
+    """S = M'M / tau has rank at most nu: every reported eigenvalue past the
+    nu-th is zero to 1e-12 of the trace budget."""
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {k: os.path.join(tmp, f"{k}.csv") for k in ("A", "B", "H", "S")}
+        io.write_matrix(paths["A"], rng.normal(size=(m, n)))
+        io.write_matrix(paths["B"], rng.normal(size=(nu, n)))
+        rpt = os.path.join(tmp, "report.json")
+        with contextlib.redirect_stdout(io_lib.StringIO()):
+            rc = main(["srisk", paths["A"], paths["B"], "--sigma", "0.5", "--optimize-S",
+                       "--trace-cap", repr(cap), "--out-h", paths["H"],
+                       "--out-s", paths["S"], "--report", rpt])
+        assert rc == 0
+        eigs = read_report(rpt)["S_eigenvalues"]
+    assert len(eigs) == n
+    assert all(abs(e) <= 1e-12 * cap for e in eigs[nu:])
+
+
 def test_srisk_optimize_s_defaults(inst):
     # without --trace-cap and --out-s: budget 1.0, S written to S_opt.csv
     base = ["srisk", inst["A"], inst["B"], "--sigma", "0.5", "--optimize-S",

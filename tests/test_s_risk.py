@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellest import (
     Ellitope,
@@ -19,10 +21,11 @@ from ellest import (
     srisk_lower_bound,
     whole_space_estimate,
 )
-from ellest import s_risk
 from ellest.experiments import build_pendulum_problem
 from ellest.s_risk import _srisk_dual
 from ellest.rng import stream
+
+from conftest import optimize_S_sdp
 
 ELL1 = Ellitope.ellipsoid(np.array([[1.0]]))
 A1 = np.array([[1.0]])
@@ -178,14 +181,28 @@ def test_optimize_S_scalar_oracle():
 
 
 def _optimize_S_instance(name):
-    """(A, B, sigma, trace_cap) for a seeded random 4x5 instance or a
-    pendulum T=8 target."""
+    """(A, B, sigma, trace_cap) for a seeded random 4x5, tall 7x4 or
+    rank-one 6x4 instance, or a pendulum T=8 target (pendulum_w_t, a single
+    input, or pendulum_block_K)."""
     if name == "random_4x5":
         rng = stream(77)
         return rng.normal(size=(4, 5)), rng.normal(size=(2, 5)), 0.3, 2.0
+    if name == "tall_7x4":
+        rng = stream(77, 1)
+        return rng.normal(size=(7, 4)), rng.normal(size=(3, 4)), 0.4, 1.5
+    if name == "rank_one_6x4":
+        rng = stream(77, 2)
+        A = np.outer(rng.normal(size=6), rng.normal(size=4))
+        return A, rng.normal(size=(2, 4)), 0.2, 1.0
     pp = build_pendulum_problem(T=8, sigma=0.075)
-    B = pp.input_row(3) if name == "pendulum_w_3" else pp.input_block(4)
+    kind, idx = name.rsplit("_", 1)
+    B = pp.input_row(int(idx)) if kind == "pendulum_w" else pp.input_block(int(idx))
     return pp.A, B, 0.075, 1.0
+
+
+OPTIMIZE_S_CASES = (["random_4x5", "tall_7x4", "rank_one_6x4"]
+                    + [f"pendulum_w_{t}" for t in range(1, 9)]
+                    + [f"pendulum_block_{K}" for K in (2, 4, 8)])
 
 
 @pytest.mark.parametrize("name", ["random_4x5", "pendulum_w_3", "pendulum_block_4"])
@@ -199,15 +216,83 @@ def test_optimize_S_matches_whole_space_design(name):
     assert np.trace(S_star) <= cap * (1 + 1e-6)
 
 
-def test_optimize_S_program_has_one_lmi_block(monkeypatch):
-    # T >= 0 follows from T being the design LMI's top-left block, so the
-    # program carries that one LMI and no order-n block for T
-    progs, real = [], s_risk.solve_or_raise
-    monkeypatch.setattr(s_risk, "solve_or_raise", lambda prog: progs.append(prog) or real(prog))
-    A, B, sigma, cap = _optimize_S_instance("random_4x5")
-    optimize_S_bisection(A, B, sigma, trace_cap=cap)
-    (prog,) = progs
-    assert prog.lower()[3].s == (A.shape[1] + B.shape[0],)
+def _ridge_weight(A, B, sigma, cap, H):
+    """The weight theta in [0, 1] at which H meets the stationarity
+    condition theta sigma^2 H = (1 - theta) A (B - H'A)' / cap of
+    theta sigma^2 ||H||^2 + (1 - theta) ||B - H'A||^2 / cap, fitted by least
+    squares."""
+    G = A @ (B - H.T @ A).T / cap
+    D = sigma ** 2 * H + G
+    return float(np.clip(np.sum(G * D) / np.sum(D * D), 0.0, 1.0))
+
+
+def _ridge_value(A, B, sigma, cap, theta):
+    """min_H theta sigma^2 ||H||^2 + (1 - theta) ||B - H'A||^2 / cap, as a
+    stacked least-squares problem: for every theta in [0, 1] a lower bound
+    on min_H max(sigma^2 ||H||^2, ||B - H'A||^2 / cap)."""
+    m = A.shape[0]
+    a, b = math.sqrt((1.0 - theta) / cap), math.sqrt(theta) * sigma
+    K = np.vstack([a * A.T, b * np.eye(m)])
+    H = np.linalg.lstsq(K, np.vstack([a * B.T, np.zeros((m, B.shape[0]))]), rcond=None)[0]
+    M = B - H.T @ A
+    return theta * sigma ** 2 * float(np.sum(H * H)) + (1.0 - theta) * float(np.sum(M * M)) / cap
+
+
+@pytest.mark.parametrize("name", OPTIMIZE_S_CASES)
+def test_optimize_S_closed_form_matches_the_sdp(name):
+    A, B, sigma, cap = _optimize_S_instance(name)
+    S, H, tau = optimize_S_bisection(A, B, sigma, trace_cap=cap)
+    _, _, tau_ref = optimize_S_sdp(A, B, sigma, cap)
+    assert tau == pytest.approx(tau_ref, rel=1e-7)
+    # (H, S, tau) is exactly feasible: tau S = M'M fills the design LMI
+    # [[tau S, M'],[M, I]] >= 0, within the trace budget and above sigma^2 ||H||^2
+    M = B - H.T @ A
+    MtM = M.T @ M
+    assert np.abs(tau * S - MtM).max() <= 1e-12 * np.abs(MtM).max()
+    assert np.trace(S) <= cap * (1 + 1e-12)
+    assert sigma ** 2 * np.sum(H * H) <= tau * (1 + 1e-12)
+    # the ridge value at H's weight is a lower bound on the optimum
+    theta = _ridge_weight(A, B, sigma, cap, H)
+    assert _ridge_value(A, B, sigma, cap, theta) >= tau * (1 - 1e-10)
+
+
+def test_optimize_S_makes_no_conic_solve(conelp_calls):
+    for name in OPTIMIZE_S_CASES:
+        A, B, sigma, cap = _optimize_S_instance(name)
+        optimize_S_bisection(A, B, sigma, trace_cap=cap)
+    assert not conelp_calls
+
+
+def _drawn_instance(seed, m, n, nu, rank):
+    """(A, B) from a seeded stream; A has the given rank."""
+    rng = stream(2310, seed)
+    A = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+    return A, rng.normal(size=(nu, n))
+
+
+_DRAWS = dict(seed=st.integers(0, 2 ** 20), m=st.integers(1, 6), n=st.integers(1, 6),
+              nu=st.integers(1, 3), rank=st.integers(1, 6),
+              sigma=st.floats(0.01, 3.0), cap=st.floats(0.05, 20.0))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(**_DRAWS)
+def test_optimize_S_level_grows_with_a_target_row(seed, m, n, nu, rank, sigma, cap):
+    # one more row of B adds a column to H and a nonnegative term to both
+    # f1 and f2, so the level cannot fall
+    A, B = _drawn_instance(seed, m, n, nu + 1, min(rank, m, n))
+    _, _, tau = optimize_S_bisection(A, B[:nu], sigma, trace_cap=cap)
+    _, _, tau_more = optimize_S_bisection(A, B, sigma, trace_cap=cap)
+    assert tau <= tau_more * (1 + 1e-12)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(**_DRAWS, grow=st.floats(1.0, 100.0))
+def test_optimize_S_level_falls_as_the_budget_grows(seed, m, n, nu, rank, sigma, cap, grow):
+    A, B = _drawn_instance(seed, m, n, nu, min(rank, m, n))
+    _, _, tau = optimize_S_bisection(A, B, sigma, trace_cap=cap)
+    _, _, tau_wide = optimize_S_bisection(A, B, sigma, trace_cap=cap * grow)
+    assert tau_wide <= tau * (1 + 1e-12)
 
 
 def test_srisk_validation():

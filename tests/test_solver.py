@@ -23,7 +23,6 @@ from ellest import (
     estimator,
     lower_bound,
     m_star,
-    optimize_S_bisection,
     solve_bayesian_sdp,
     whole_space_estimate,
 )
@@ -41,6 +40,8 @@ from ellest.solver.cones import (
     max_step,
 )
 from ellest.solver.ipm import _KKT, conelp
+
+from conftest import optimize_S_sdp
 
 
 def test_lp_simplex_corner():
@@ -777,7 +778,7 @@ def _layout_cases():
         "srisk-ellitope": lambda: build_srisk_estimate(SRiskProblem(on(box), S)),
         "srisk-whole-space": lambda: whole_space_estimate(A, B, 0.3, S),
         "robust": lambda: build_robust_estimate(um, 0.3, S, ell),
-        "optimize-S": lambda: optimize_S_bisection(A, B, 0.3),
+        "optimize-S": lambda: optimize_S_sdp(A, B, 0.3, 1.0),
         "m-star": lambda: m_star(B, box),
         "bayesian": lambda: solve_bayesian_sdp(on(ell)),
         "contraction": lambda: refined_lower_bound(on(box), CONTRACTION, 0.05),
