@@ -76,7 +76,7 @@ def cmd_estimate(args) -> int:
     ell = io.read_ellitope(args.ellitope)
     est = build_linear_estimate(EstimationProblem(A, B, args.sigma, ell))
     io.write_matrix(args.out_h, est.H)
-    sol = est.solution          # None when the closed form ran
+    sol = est.solution          # None on a K = 1 ellitope: no conic solve
     _emit({
         "opt": est.opt,
         "risk_bound": est.risk_bound,

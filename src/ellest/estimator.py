@@ -12,11 +12,25 @@ whose optimal value Opt certifies Risk^2 <= Opt over the whole set.
 add_design_objective declares (H, lam, u >= Tr(H'H)) and that objective for
 this program and for the S-risk and robust ones.
 
-On one ellipsoid (K = 1) with one target row (nu = 1, B = b') no program is
-solved. There T is [0, 1] whatever its variant, phi_T(lam) = lam and the
-S-lemma is exact, so the design is the ridge least-squares problem of
-estimating a linear form (Donoho 1994): with (A'A + sigma^2 S_1) g = b and
-h = A g, Opt = sigma^2 b'g, which is the exact risk of h.
+On one ellipsoid (K = 1, where every T variant is [0, 1] and phi_T(lam) =
+lam) no conic program is solved. Write S_1 = L L' and Abar = A L^-T =
+U diag(s) V' with V n x n orthogonal (s padded with zeros, and values below
+numpy's matrix_rank cut set to 0); b_j is column j of B L^-T V and c_j =
+s_j^2 / sigma^2. Opt is the saddle value min_H max_W over bias weights
+W >= 0 with Tr W = 1 (nu x nu), and the inner minimum splits along the
+singular directions:
+
+    Opt = max_W g(W),  g(W) = sum_j b_j' W (I + c_j W)^-1 b_j,
+
+where the columns with s_j = 0 (A's null space among them) contribute
+<W, P_0> with P_0 = sum_{s_j = 0} b_j b_j'. The minimizer at W is
+H_W' = sum_j s_j (sigma^2 I + s_j^2 W)^-1 W b_j u_j'. Its exact risk
+sigma^2 ||H_W||^2 + lam_max(M M') (M = B L^-T - H_W' Abar) is above Opt and
+g(W) is below it, so their gap certifies both. _ellipsoid_dual maximizes
+t g(W) + log det W by Newton steps, growing t, until that gap is within the
+solver's relative duality-gap target (Boyd and Vandenberghe, Convex
+Optimization, 11.3). With nu = 1 the only W is 1 and H_W is the ridge
+estimate of a linear form (Donoho 1994).
 """
 
 from __future__ import annotations
@@ -24,11 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .ellitope import SEGMENT, Ellitope, TSet, phi_terms
-from .linalg import psd_sqrt
+from .linalg import _svec_index, _svec_scale, _tri_indices, psd_sqrt, smat, svec
 from .rng import stream
-from .solver import Builder, ConicSolution, solve_or_raise
+from .solver import Builder, ConicSolution, SolverError, ipm, solve_or_raise
 
 
 def check_observation(A, B, sigma: float, n: int | None = None):
@@ -72,8 +87,10 @@ class EstimationProblem:
 @dataclass(frozen=True)
 class LinearEstimate:
     """The design (H, lam) with its value Opt and risk bound sqrt(Opt).
-    solution is the design program's conic solution, None when the K = 1,
-    nu = 1 closed form ran and no program was solved."""
+    solution is the design program's conic solution, None on a K = 1
+    ellitope, where the nu x nu dual gives H, Opt is the exact risk of H
+    (certified by the dual to the solver's gap target) and lam = Opt -
+    sigma^2 ||H||_F^2 is its worst squared bias."""
 
     H: np.ndarray           # m x nu
     lam: np.ndarray         # K
@@ -142,20 +159,18 @@ def add_neg_product(L, M: np.ndarray, h_idx: np.ndarray, nu: int,
 
 
 def build_linear_estimate(prob: EstimationProblem) -> LinearEstimate:
-    """The optimal (H, lam) of the design problem. On a K = 1 ellitope with
-    nu = 1 it is the closed form: (A'A + sigma^2 S_1) g = b, h = A g,
-    r = b - A'h, lam = r'S_1^-1 r and Opt = sigma^2 ||h||^2 + lam, the
-    exact risk of h. Every other input solves the SDP."""
+    """The optimal (H, lam) of the design problem: on a K = 1 ellitope from
+    the nu x nu dual (_ellipsoid_dual), with Opt the exact risk of H, and
+    otherwise from the SDP (_design_sdp)."""
+    if prob.ell.K == 1:
+        return _ellipsoid_dual(prob)[0]
+    return _design_sdp(prob)
+
+
+def _design_sdp(prob: EstimationProblem) -> LinearEstimate:
+    """The design SDP of the module docstring, solved by the conic solver."""
     A, B, ell = prob.A, prob.B, prob.ell
     m, n, nu = prob.m, ell.n, prob.nu
-    if ell.K == 1 and nu == 1:
-        S, s2 = ell.S[0], prob.sigma ** 2
-        h = A @ np.linalg.solve(A.T @ A + s2 * S, B[0])
-        r = B[0] - A.T @ h
-        lam = float(r @ np.linalg.solve(S, r))
-        opt = float(s2 * (h @ h) + lam)
-        return LinearEstimate(h[:, None], np.array([lam]), opt, float(np.sqrt(opt)))
-
     b = Builder()
     h, lam, bound = add_design_objective(b, prob.sigma, m, nu, ell.tset)
     b.objective(*bound)
@@ -167,6 +182,95 @@ def build_linear_estimate(prob: EstimationProblem) -> LinearEstimate:
     lam_v = np.maximum(sol.var(prog, "lam"), 0.0)
     opt = float(sol.pobj)
     return LinearEstimate(H, lam_v, opt, float(np.sqrt(max(opt, 0.0))), sol)
+
+
+def _ellipsoid_dual(prob: EstimationProblem) -> tuple[LinearEstimate, float]:
+    """The K = 1 design from max g(W) over W >= 0, Tr W = 1 (module
+    docstring), and g at the last W: a lower bound on Opt.
+
+    A barrier method on t g(W) + log det W from W = I/nu and t = 1. Each
+    Newton step works in W's eigenframe W = Q diag(lam) Q', where every
+    (I + c_j W)^-1 is diagonal: y_j = (I + c_j lam)^-1 Q'b_j, and P = sum_j
+    y_j y_j' is both the gradient of g and M M' at H_W, so the gap of the
+    module docstring is lam_max(P) - <lam, diag P>. The step D is solved
+    for over its upper triangle scaled by sqrt(lam_a lam_r), which makes
+    the barrier's Hessian the identity, with Tr D = 0 as one bordered row.
+    It goes at most 0.9 of the way to the boundary of W >= 0 and backtracks
+    until it gains a quarter of its first-order gain. t grows 30-fold
+    whenever the gap is at most nu / t, as it is at the center for t. The
+    loop stops when the gap is within ipm.gap_tolerance() of the exact
+    risk, and raises SolverError when ipm.MAX_ITER Newton steps do not get
+    there."""
+    A, B, s2 = prob.A, prob.B, prob.sigma ** 2
+    (m, n), nu = A.shape, prob.nu
+    L = np.linalg.cholesky(prob.ell.S[0])
+    U, s, Vt = np.linalg.svd(scipy.linalg.solve_triangular(L, A.T, lower=True).T,
+                             full_matrices=m < n)
+    # singular values at rounding level (numpy's matrix_rank cut) are zero
+    s = np.where(s > s[0] * max(m, n) * np.finfo(float).eps, s, 0.0)
+    Bv = scipy.linalg.solve_triangular(L, B.T, lower=True).T @ Vt.T     # columns b_j
+    c = np.zeros(n)
+    c[:len(s)] = s * s / s2
+    rows, cols = _tri_indices(nu)
+    tri, pos = len(rows), _svec_index(nu)[1]
+    diag = (rows == cols).astype(float)
+    # -Hess g[D, D] = 2 sum_r d_r' G_r d_r over the columns d_r of D, so
+    # G_r[a, b] adds to the Hessian at (pos[a, r], pos[b, r])
+    hess_at = (pos[:, :, None] * tri + pos[:, None, :]).ravel()
+    tol = ipm.gap_tolerance()
+
+    def at(lam, Q):
+        """(Y, X, P, g) at W = Q diag(lam) Q': the rows y_j and x_j (H_W =
+        U X Q') in the frame, P = Y'Y and g = sigma^2 ||X||^2 + <lam, diag P>."""
+        Y = (Q.T @ Bv).T / (1.0 + np.outer(c, lam))
+        X = (s / s2)[:, None] * lam * Y[:len(s)]
+        P = Y.T @ Y
+        return Y, X, P, s2 * float(np.sum(X * X)) + float(lam @ np.diag(P))
+
+    lam, Q, t = np.full(nu, 1.0 / nu), np.eye(nu), 1.0
+    Y, X, P, g = at(lam, Q)
+    for it in range(ipm.MAX_ITER + 1):
+        top = float(np.linalg.eigvalsh(P)[-1])
+        up = s2 * float(np.sum(X * X)) + top
+        if up - g <= tol * up:
+            H = U[:, :len(s)] @ (X @ Q.T)
+            return LinearEstimate(H, np.array([top]), up, float(np.sqrt(up))), g
+        if it == ipm.MAX_ITER:
+            break
+        if up - g <= nu / t:
+            t *= 30.0
+        sig = np.sqrt(lam[rows] * lam[cols])           # D = smat(sig * q)
+        w = c[:, None] / (1.0 + np.outer(c, lam))
+        G = (Y.T[None] * w.T[:, None, :]) @ Y            # G_r = sum_j w_jr y_j y_j'
+        su = sig / _svec_scale(nu)
+        hess = np.bincount(hess_at, G.ravel(), tri * tri).reshape(tri, tri)
+        hess *= 2.0 * np.outer(su, su)
+        # P - top I in place of P moves only the multiplier of Tr D = 0, and
+        # keeps t * top from cancelling in it
+        grad = t * sig * svec(P - top * np.eye(nu)) + diag
+        trace = sig * diag
+        f = scipy.linalg.cho_factor(t * hess + np.eye(tri))
+        u1, u2 = scipy.linalg.cho_solve(f, np.column_stack([grad, trace])).T
+        q = u1 - (trace @ u1) / (trace @ u2) * u2
+        gain = float(grad @ q)
+        D = smat(sig * q, nu)
+        lo = float(np.linalg.eigvalsh(smat(q, nu))[0])  # of diag(lam)^-1/2 D diag(lam)^-1/2
+        alpha = min(1.0, -0.9 / lo) if lo < 0 else 1.0
+        f0 = t * g + float(np.sum(np.log(lam)))
+        for _ in range(50):                  # past 2^-50 the step is lost in rounding
+            mu, R = np.linalg.eigh(np.diag(lam) + alpha * D)
+            if mu[0] > 0:
+                mu /= mu.sum()               # Tr W = 1 to rounding, so g(W) <= Opt
+                trial = at(mu, Q @ R)
+                if t * trial[3] + float(np.sum(np.log(mu))) >= f0 + 0.25 * alpha * gain:
+                    break
+            alpha *= 0.5
+        else:
+            break
+        lam, Q = mu, Q @ R
+        Y, X, P, g = trial
+    raise SolverError(f"ellipsoid dual stopped after {it} Newton steps with relative gap "
+                      f"{(up - g) / up:.3e} above {tol:g}")
 
 
 def apply(est: LinearEstimate, omega: np.ndarray) -> np.ndarray:

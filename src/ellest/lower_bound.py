@@ -24,6 +24,7 @@ import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .ellitope import BOX, SEGMENT, Ellitope, add_tset_cone, phi_terms
 from .estimator import EstimationProblem, build_linear_estimate
@@ -282,11 +283,17 @@ def _max_trace_over_covariances(C: np.ndarray, ell: Ellitope):
 
 
 def m_star(B: np.ndarray, ell: Ellitope) -> float:
-    """sqrt(max Tr(BQB') over Q >= 0 with Tr(QS_k) <= t_k, t in T), from
-    one solve of its dual in K variables; independent of sigma."""
+    """sqrt(max Tr(BQB') over Q >= 0 with Tr(QS_k) <= t_k, t in T);
+    independent of sigma. On a K = 1 ellitope (T is [0, 1]) it is
+    sqrt(lam_max(L^-1 B'B L^-T)) = ||L^-1 B'||_2 with S_1 = L L', the
+    largest ||Bx|| over x'S_1 x <= 1; otherwise one solve of its dual in K
+    variables."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if not np.any(B):
         return 0.0
+    if ell.K == 1:
+        return spectral_norm(scipy.linalg.solve_triangular(np.linalg.cholesky(ell.S[0]),
+                                                           B.T, lower=True))
     val, _, _ = _max_trace_over_covariances(sym(B.T @ B), ell)
     return float(np.sqrt(max(val, 0.0)))
 

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellest import Ellitope, io
+from ellest import Ellitope, estimator, io
 from ellest.cli import main
 
 
 @pytest.fixture
 def inst(tmp_path):
-    """Small scalar-friendly instance on disk: A, B, ellitope, S, the robust
-    command's perturbation factors E, F, and a B2 with two columns, not A's
-    three."""
+    """Small scalar-friendly instance on disk: A, B, an ellipsoid, S, the
+    robust command's perturbation factors E, F, a B2 with two columns, not
+    A's three, and a box (K = 3), whose design is an SDP."""
     rng = np.random.default_rng(81)
     n, m, nu = 3, 3, 2
     A = rng.normal(size=(m, n))
@@ -35,6 +35,7 @@ def inst(tmp_path):
         "E": str(tmp_path / "E.csv"),
         "F": str(tmp_path / "F.csv"),
         "B2": str(tmp_path / "B2.csv"),
+        "box": str(tmp_path / "box.json"),
         "dir": tmp_path,
     }
     io.write_matrix(paths["A"], A)
@@ -44,6 +45,7 @@ def inst(tmp_path):
     io.write_matrix(paths["E"], 0.2 * np.ones((2, m + nu)))
     io.write_matrix(paths["F"], 0.2 * np.ones((2, n)))
     io.write_matrix(paths["B2"], np.ones((1, 2)))
+    io.write_ellitope(paths["box"], Ellitope.coordinate_box(np.array([1.0, 2.0, 3.0])))
     return paths
 
 
@@ -53,22 +55,28 @@ def read_report(path) -> dict:
 
 
 def test_estimate_command(inst):
-    rpt = str(inst["dir"] / "est.json")
-    out_h = str(inst["dir"] / "H.csv")
-    rc = main(["estimate", inst["A"], inst["B"], inst["ell"],
-               "--sigma", "0.5", "--out-h", out_h, "--report", rpt])
-    assert rc == 0
-    report = read_report(rpt)
-    assert report["opt"] > 0
-    assert report["risk_bound"] == pytest.approx(np.sqrt(report["opt"]), rel=1e-9)
-    H = io.read_matrix(out_h)
-    assert H.shape == (3, 2)
-    assert max(report["residuals"].values()) < 1e-6
+    # on the ellipsoid (nu = 2) the design is the one-ellipsoid dual, with
+    # no conic solve and so no residuals; on the box it is the SDP
+    for ell, solved in (("ell", False), ("box", True)):
+        rpt = str(inst["dir"] / f"est_{ell}.json")
+        out_h = str(inst["dir"] / f"H_{ell}.csv")
+        rc = main(["estimate", inst["A"], inst["B"], inst[ell],
+                   "--sigma", "0.5", "--out-h", out_h, "--report", rpt])
+        assert rc == 0
+        report = read_report(rpt)
+        assert report["opt"] > 0
+        assert report["risk_bound"] == pytest.approx(np.sqrt(report["opt"]), rel=1e-9)
+        assert io.read_matrix(out_h).shape == (3, 2)
+        if solved:
+            assert max(report["residuals"].values()) < 1e-6
+        else:
+            assert report["residuals"] is None
+            assert report["risk_bound"] == np.sqrt(report["opt"])
 
 
 def test_estimate_one_row_reports_no_residuals(inst):
-    # a one-row B on the K = 1 ellipsoid takes the closed form: no conic
-    # solve, so no residuals
+    # a one-row B on the K = 1 ellipsoid takes the dual with no Newton step:
+    # no conic solve, so no residuals
     B1 = str(inst["dir"] / "B1.csv")
     io.write_matrix(B1, io.read_matrix(inst["B"])[:1])
     rpt = str(inst["dir"] / "est1.json")
@@ -247,7 +255,7 @@ def test_experiment_pendulum_command(tmp_path):
 def test_dump_program(inst):
     prefix = str(inst["dir"] / "dump")
     rc = main(["--dump-program", prefix,
-               "estimate", inst["A"], inst["B"], inst["ell"],
+               "estimate", inst["A"], inst["B"], inst["box"],
                "--sigma", "0.5", "--out-h", str(inst["dir"] / "Hd.csv"),
                "--report", str(inst["dir"] / "d.json")])
     assert rc == 0
@@ -300,6 +308,16 @@ def test_minimal_descriptor_loads(inst):
 
 
 def test_solver_tol_env(inst, monkeypatch):
+    # the ellipsoid design stops at the gap target ESTIMATOR_SOLVER_TOL sets,
+    # here at a gap the default 1e-8 would not accept
+    gaps, real = [], estimator._ellipsoid_dual
+
+    def recorded(prob):
+        est, lower = real(prob)
+        gaps.append((est.opt - lower) / est.opt)
+        return est, lower
+
+    monkeypatch.setattr(estimator, "_ellipsoid_dual", recorded)
     monkeypatch.setenv("ESTIMATOR_SOLVER_TOL", "1e-6")
     rpt = str(inst["dir"] / "tol.json")
     rc = main(["estimate", inst["A"], inst["B"], inst["ell"],
@@ -307,6 +325,7 @@ def test_solver_tol_env(inst, monkeypatch):
                "--report", rpt])
     assert rc == 0
     assert read_report(rpt)["opt"] > 0
+    assert len(gaps) == 1 and 1e-8 < gaps[0] <= 1e-6
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "0", "inf", "abc"])
@@ -344,12 +363,13 @@ def test_robust_samples_below_one_exits_2(inst, capsys, conelp_calls, samples):
 
 def test_dump_program_round_trip(inst):
     """A dump file is the lowered program conelp solved: re-solving it gives
-    the reported value and the written H."""
+    the reported value and the written H (on the box: an ellipsoid design
+    solves no program)."""
     from ellest.solver import ConeDims, conelp
 
     prefix = str(inst["dir"] / "rt")
     out_h, rpt = str(inst["dir"] / "Hrt.csv"), str(inst["dir"] / "rt.json")
-    rc = main(["--dump-program", prefix, "estimate", inst["A"], inst["B"], inst["ell"],
+    rc = main(["--dump-program", prefix, "estimate", inst["A"], inst["B"], inst["box"],
                "--sigma", "0.5", "--out-h", out_h, "--report", rpt])
     assert rc == 0
     dump = json.loads((inst["dir"] / "rt.1.json").read_text())
@@ -367,9 +387,10 @@ def test_dump_program_round_trip(inst):
 
 
 def test_unsupported_pnorm_ball_exits_2(inst, capsys):
+    # K = 2: on K = 1 every T is [0, 1] and the design takes no program
     ell = inst["dir"] / "p3.json"
-    ell.write_text(json.dumps({"S": [np.eye(3).tolist()],
-                               "tset": {"variant": "pnorm_ball", "K": 1, "p": 3}}))
+    ell.write_text(json.dumps({"S": [np.eye(3).tolist()] * 2,
+                               "tset": {"variant": "pnorm_ball", "K": 2, "p": 3}}))
     rc = main(["estimate", inst["A"], inst["B"], str(ell), "--sigma", "0.5",
                "--out-h", str(inst["dir"] / "Hp.csv")])
     assert rc == 2

@@ -1,8 +1,11 @@
-"""Linear estimate design: closed-form oracles, exactness on ellipsoids,
-Monte-Carlo risk validation, and the prediction interface."""
+"""Linear estimate design: closed-form oracles, the one-ellipsoid dual
+against the SDP, exactness on ellipsoids, Monte-Carlo risk validation, and
+the prediction interface."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellest import (
     Ellitope,
@@ -15,16 +18,19 @@ from ellest import (
     worst_case_signal,
 )
 from ellest.ellitope import SEGMENT
-from ellest.experiments import build_pendulum_problem
+from ellest.estimator import _design_sdp, _ellipsoid_dual
 from ellest.rng import stream
+from ellest.solver import SolverError, ipm
 
-from conftest import random_problem
-
-
-def scalar_problem(sigma: float) -> EstimationProblem:
-    return EstimationProblem(
-        A=np.array([[1.0]]), B=np.array([[1.0]]), sigma=sigma,
-        ell=Ellitope.ellipsoid(np.array([[1.0]])))
+from conftest import (
+    DUAL_CASES,
+    ONE_ROW_CASES,
+    dual_problem,
+    one_row_problem,
+    random_ellipsoid_problem,
+    random_problem,
+    scalar_problem,
+)
 
 
 @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
@@ -39,45 +45,71 @@ def test_scalar_closed_form(sigma):
     assert est.lam.shape == (1,)
 
 
-# one-row designs on a K = 1 ellitope, which take the closed form: the
-# horizon-8 pendulum's single targets on its ball, the scalar problem, and a
-# random instance under each T variant that K = 1 admits
-ONE_ROW_CASES = ([f"pendulum-w{t}" for t in range(1, 9)]
-                 + [f"scalar-{sigma}" for sigma in (0.1, 1.0, 10.0)]
-                 + ["segment", "box", "pnorm-2"])
-
-
-def one_row_problem(case: str) -> EstimationProblem:
-    if case.startswith("pendulum"):
-        pp = build_pendulum_problem(T=8)
-        return EstimationProblem(pp.A, pp.input_row(int(case[len("pendulum-w"):])), 0.075,
-                                 Ellitope.ellipsoid(np.eye(pp.n) / pp.n))
-    if case.startswith("scalar"):
-        return scalar_problem(float(case[len("scalar-"):]))
-    rng = stream(23, 0)
-    n, m = 4, 3
-    G = rng.standard_normal((n, n))
-    tset = {"segment": TSet.unit_segment(), "box": TSet.unit_box(1),
-            "pnorm-2": TSet.pnorm_ball(1, 2.0)}[case]
-    return EstimationProblem(rng.standard_normal((m, n)), rng.standard_normal((1, n)), 0.3,
-                             Ellitope(n, (G @ G.T / n + 0.2 * np.eye(n))[None], tset))
-
-
 @pytest.mark.parametrize("case", ONE_ROW_CASES)
-def test_one_row_closed_form_matches_the_sdp(case):
-    # on an ellipsoid the closed form's Opt is the exact risk of its h, and
-    # B = [b; 0] has the same Opt but nu = 2, so it is solved by the SDP
+def test_one_row_closed_form_matches_the_sdp(case, conelp_calls):
+    # with nu = 1 the dual's only W is 1, so no Newton step is taken and H
+    # is the ridge estimate of a linear form: (A'A + sigma^2 S_1) g = b,
+    # h = A g, r = b - A'h, lam = r'S_1^-1 r and Opt = sigma^2 ||h||^2 +
+    # lam, the exact risk of h. B = [b; 0] has the same Opt at nu = 2,
+    # from the dual and from the SDP.
     prob = one_row_problem(case)
     est = build_linear_estimate(prob)
-    assert est.solution is None
+    assert est.solution is None and not conelp_calls
     assert est.H.shape == (prob.m, 1) and est.lam.shape == (1,)
     assert est.risk_bound == np.sqrt(est.opt)
+    A, b, S, s2 = prob.A, prob.B[0], prob.ell.S[0], prob.sigma ** 2
+    h = A @ np.linalg.solve(A.T @ A + s2 * S, b)
+    r = b - A.T @ h
+    lam = float(r @ np.linalg.solve(S, r))
+    np.testing.assert_allclose(est.H[:, 0], h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
+    assert est.lam[0] == pytest.approx(lam, rel=1e-12, abs=1e-12 * est.opt)
+    assert est.opt == pytest.approx(s2 * (h @ h) + lam, rel=1e-12)
     if prob.ell.tset.variant == SEGMENT:
         assert exact_risk_on_ellipsoid(est.H, prob) == pytest.approx(est.opt, rel=1e-12)
     padded = EstimationProblem(prob.A, np.vstack([prob.B, 0.0 * prob.B]), prob.sigma, prob.ell)
-    sdp = build_linear_estimate(padded)
+    assert build_linear_estimate(padded).opt == pytest.approx(est.opt, rel=ipm.gap_tolerance())
+    sdp = _design_sdp(padded)
     assert sdp.solution is not None and sdp.solution.is_optimal
     assert sdp.opt == pytest.approx(est.opt, rel=1e-7)
+
+
+@pytest.mark.parametrize("case", DUAL_CASES)
+def test_ellipsoid_dual_certifies_the_sdp_value(case, conelp_calls):
+    # Opt is the exact risk of H, within the gap target of the dual value
+    # g(W), which lies below the exact risk of every H (the SDP's included)
+    prob = dual_problem(case)
+    est, lower = _ellipsoid_dual(prob)
+    assert build_linear_estimate(prob).opt == est.opt
+    assert est.solution is None and not conelp_calls
+    assert est.H.shape == (prob.m, prob.nu) and est.lam.shape == (1,)
+    assert est.risk_bound == np.sqrt(est.opt)
+    assert exact_risk_on_ellipsoid(est.H, prob) == pytest.approx(est.opt, rel=1e-12)
+    assert 0.0 <= est.opt - lower <= ipm.gap_tolerance() * est.opt
+    sdp = _design_sdp(prob)
+    assert abs(est.opt - sdp.opt) <= 1e-7 * max(1.0, est.opt)
+    assert lower <= exact_risk_on_ellipsoid(sdp.H, prob) * (1.0 + 1e-12)
+
+
+def test_ellipsoid_dual_raises_when_the_steps_run_out(monkeypatch):
+    monkeypatch.setattr(ipm, "MAX_ITER", 1)
+    with pytest.raises(SolverError, match="1 Newton steps with relative gap"):
+        build_linear_estimate(dual_problem("pendulum8-4"))
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 20), m=st.integers(1, 5), n=st.integers(1, 5),
+       nu=st.integers(1, 4), sigma=st.floats(0.01, 3.0), grow=st.floats(1.01, 4.0))
+def test_ellipsoid_opt_grows_with_sigma_and_targets(seed, m, n, nu, sigma, grow):
+    # Opt is nondecreasing in sigma and in the rows of B; each value is
+    # certified to within the gap target above the true one
+    rng = stream(25, seed)
+    prob = random_ellipsoid_problem(seed, rng.standard_normal((m, n)),
+                             rng.standard_normal((nu, n)), sigma)
+    floor = build_linear_estimate(prob).opt * (1.0 - ipm.gap_tolerance())
+    noisier = EstimationProblem(prob.A, prob.B, grow * sigma, prob.ell)
+    more = EstimationProblem(prob.A, np.vstack([prob.B, rng.standard_normal(n)]), sigma, prob.ell)
+    assert build_linear_estimate(noisier).opt >= floor
+    assert build_linear_estimate(more).opt >= floor
 
 
 def test_validation_errors():

@@ -259,11 +259,11 @@ def test_pendulum_run_small(tmp_path):
 def test_pendulum_block_one_reuses_the_last_single_target(conelp_calls):
     cfg = ScenarioConfig(scenario=PENDULUM, sigma_grid=(0.075,), horizon=3)
     records = run_pendulum_experiment(cfg)
-    # 3 single targets + blocks [1, 2, 3]: the S optimization and the
-    # one-row ball designs are closed forms, block 1 repeats w_3, and only
-    # the ball designs of blocks 2 and 3 solve a conic program
+    # 3 single targets + blocks [1, 2, 3]: the S optimization is a closed
+    # form and the ball designs take the one-ellipsoid dual, so no conic
+    # program is solved; block 1 repeats w_3
     assert len(records) == 6
-    assert len(conelp_calls) == 2
+    assert len(conelp_calls) == 0
     by_target = {rec.extras["target"]: rec for rec in records}
     last, block = by_target["w_3"], by_target["w_block_1"]
     assert block.error is None

@@ -36,11 +36,17 @@ from ellest import (
     whole_space_estimate,
 )
 from ellest import lower_bound
-from ellest.linalg import min_eig, psd_sqrt, smat, svec_len
-from ellest.lower_bound import _admissible_covariance, _chi2_tail, _qs_product_triplets
+from ellest.linalg import min_eig, psd_sqrt, smat, svec_len, sym
+from ellest.lower_bound import (
+    _admissible_covariance,
+    _chi2_tail,
+    _max_trace_over_covariances,
+    _qs_product_triplets,
+)
 from ellest.rng import stream
+from ellest.solver import ipm
 
-from conftest import random_psd
+from conftest import DUAL_CASES, ONE_ROW_CASES, dual_problem, one_row_problem, random_psd
 
 
 def scalar_problem(sigma: float = 1.0) -> EstimationProblem:
@@ -120,6 +126,17 @@ def test_m_star_closed_forms():
     assert m_star(np.eye(3), ell_b) == pytest.approx(
         math.sqrt(np.sum(a ** -2.0)), rel=1e-6)
     assert m_star(np.zeros((2, 3)), ell_e) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("case", DUAL_CASES + ONE_ROW_CASES)
+def test_m_star_on_one_ellipsoid_matches_the_covariance_program(case, conelp_calls):
+    # on K = 1, m_star = ||L^-1 B'||_2 (S_1 = LL') with no solve; the
+    # program it replaces agrees to its own duality-gap target
+    prob = dual_problem(case) if case in DUAL_CASES else one_row_problem(case)
+    ms = m_star(prob.B, prob.ell)
+    assert not conelp_calls
+    val, _, _ = _max_trace_over_covariances(sym(prob.B.T @ prob.B), prob.ell)
+    assert ms == pytest.approx(math.sqrt(val), rel=ipm.gap_tolerance())
 
 
 def test_admissible_covariance_lies_in_the_set(monkeypatch):

@@ -114,14 +114,18 @@ def test_whole_space_dual_scale_at_zero():
 
 
 def test_lower_bound_makes_one_solve_beside_the_design(conelp_calls):
-    sp = SRiskProblem(EstimationProblem(A1, B1, 1.0, ELL1), np.eye(1))
-    est = build_srisk_estimate(sp)
-    del conelp_calls[:]
-    srisk_lower_bound(sp, est=est)               # m_star only
-    assert len(conelp_calls) == 1
-    del conelp_calls[:]
-    srisk_lower_bound(sp)                        # the design and m_star
-    assert len(conelp_calls) == 2
+    # beside the design, m_star is one solve on a K = 2 ellitope and a
+    # closed form on the K = 1 one
+    box = Ellitope(1, np.array([[[1.0]], [[0.5]]]), TSet.unit_box(2))
+    for ell, m_star_solves in ((box, 1), (ELL1, 0)):
+        sp = SRiskProblem(EstimationProblem(A1, B1, 1.0, ell), np.eye(1))
+        est = build_srisk_estimate(sp)
+        del conelp_calls[:]
+        srisk_lower_bound(sp, est=est)           # m_star only
+        assert len(conelp_calls) == m_star_solves
+        del conelp_calls[:]
+        srisk_lower_bound(sp)                    # the design and m_star
+        assert len(conelp_calls) == 1 + m_star_solves
     del conelp_calls[:]
     whole_space_estimate(A1, B1, 1.0, np.eye(1))
     assert len(conelp_calls) == 1

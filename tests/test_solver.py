@@ -642,8 +642,9 @@ class _Built(Exception):
 
 
 def test_lowering_and_column_factors_stay_below_half_a_dense_g(monkeypatch):
-    # an n = 24 design program: G is 1,755 x 578 with 14,427 nonzeros, so
-    # neither lower() nor ColumnFactors.of may hold it dense
+    # an n = 24 design program (the SDP an ellipsoid design is held
+    # against): G is 1,755 x 578 with 14,427 nonzeros, so neither lower()
+    # nor ColumnFactors.of may hold it dense
     progs = []
 
     def capture(prog):
@@ -652,7 +653,7 @@ def test_lowering_and_column_factors_stay_below_half_a_dense_g(monkeypatch):
 
     monkeypatch.setattr(estimator, "solve_or_raise", capture)
     with pytest.raises(_Built):
-        estimator.build_linear_estimate(_problem(24, 6))
+        estimator._design_sdp(_problem(24, 6))
     (prog,) = progs
     tracemalloc.start()
     try:
@@ -773,7 +774,7 @@ def _layout_cases():
         return EstimationProblem(A, B, 0.3, signals)
 
     return {
-        "design-ellipsoid": lambda: build_linear_estimate(on(ell)),
+        "design-ellipsoid": lambda: estimator._design_sdp(on(ell)),
         "design-box": lambda: build_linear_estimate(on(box)),
         "srisk-ellitope": lambda: build_srisk_estimate(SRiskProblem(on(box), S)),
         "srisk-whole-space": lambda: whole_space_estimate(A, B, 0.3, S),
