@@ -38,9 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .ellitope import SEGMENT, Ellitope, TSet, phi_terms
+from .ellitope import Ellitope, TSet, phi_terms
 from .linalg import _svec_index, _svec_scale, _tri_indices, psd_sqrt, smat, svec
 from .rng import stream
 from .solver import Builder, ConicSolution, SolverError, ipm, solve_or_raise
@@ -204,11 +203,10 @@ def _ellipsoid_dual(prob: EstimationProblem) -> tuple[LinearEstimate, float]:
     A, B, s2 = prob.A, prob.B, prob.sigma ** 2
     (m, n), nu = A.shape, prob.nu
     L = np.linalg.cholesky(prob.ell.S[0])
-    U, s, Vt = np.linalg.svd(scipy.linalg.solve_triangular(L, A.T, lower=True).T,
-                             full_matrices=m < n)
+    U, s, Vt = np.linalg.svd(np.linalg.solve(L, A.T).T, full_matrices=m < n)
     # singular values at rounding level (numpy's matrix_rank cut) are zero
     s = np.where(s > s[0] * max(m, n) * np.finfo(float).eps, s, 0.0)
-    Bv = scipy.linalg.solve_triangular(L, B.T, lower=True).T @ Vt.T     # columns b_j
+    Bv = np.linalg.solve(L, B.T).T @ Vt.T     # columns b_j
     c = np.zeros(n)
     c[:len(s)] = s * s / s2
     rows, cols = _tri_indices(nu)
@@ -249,8 +247,7 @@ def _ellipsoid_dual(prob: EstimationProblem) -> tuple[LinearEstimate, float]:
         # keeps t * top from cancelling in it
         grad = t * sig * svec(P - top * np.eye(nu)) + diag
         trace = sig * diag
-        f = scipy.linalg.cho_factor(t * hess + np.eye(tri))
-        u1, u2 = scipy.linalg.cho_solve(f, np.column_stack([grad, trace])).T
+        u1, u2 = np.linalg.solve(t * hess + np.eye(tri), np.column_stack([grad, trace])).T
         q = u1 - (trace @ u1) / (trace @ u2) * u2
         gain = float(grad @ q)
         D = smat(sig * q, nu)
@@ -312,9 +309,10 @@ def empirical_risk(est: LinearEstimate, prob: EstimationProblem, x: np.ndarray,
 
 def _ellipsoid_bias(H: np.ndarray, prob: EstimationProblem):
     """(W, R^-1) with R = S1^{1/2}, M = B - H'A and W = R^-1 M'M R^-1, whose
-    top eigenvalue is the worst squared bias over the ellipsoid {x'S1 x <= 1}."""
+    top eigenvalue is the worst squared bias over the ellipsoid {x'S1 x <= 1}:
+    every K = 1 ellitope, whose T is [0, 1] whatever its variant."""
     ell = prob.ell
-    if ell.K != 1 or ell.tset.variant != SEGMENT:
+    if ell.K != 1:
         raise ValueError("needs a K = 1 ellipsoid")
     M = prob.B - H.T @ prob.A
     Rinv = np.linalg.inv(psd_sqrt(ell.S[0]))

@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.linalg as sla
 
 from .ellitope import Ellitope
 from .estimator import EstimationProblem, build_linear_estimate
@@ -268,13 +267,17 @@ def build_pendulum_problem(delta: float = 1.0, kappa: float = 0.05,
     """Discretize the oscillator and assemble the trajectory operator.
 
     eigenfreq is read in cycles per unit time: the damped angular frequency is
-    2*pi*eigenfreq, so nu^2 = (2*pi*eigenfreq)^2 + kappa^2/4.
+    w = 2*pi*eigenfreq, so nu^2 = w^2 + kappa^2/4. Since (theta + kappa/2 I)^2
+    = -w^2 I, the propagator is exp(delta theta) = e^(-kappa delta/2)
+    [cos(w delta) I + sin(w delta)/w (theta + kappa/2 I)].
     """
     if min(delta, kappa, eigenfreq, sigma) <= 0 or T < 1:
         raise ValueError("parameters must be positive")
-    nu = np.hypot(2.0 * np.pi * eigenfreq, kappa / 2.0)
+    w = 2.0 * np.pi * eigenfreq
+    nu = np.hypot(w, kappa / 2.0)
     theta = np.array([[0.0, 1.0], [-nu ** 2, -kappa]])
-    P = sla.expm(delta * theta)
+    P = np.exp(-kappa * delta / 2.0) * (np.cos(w * delta) * np.eye(2)
+                                        + np.sin(w * delta) / w * (theta + kappa / 2.0 * np.eye(2)))
     Q = np.linalg.solve(theta, (P - np.eye(2)) @ np.array([0.0, 1.0]))
     n = T + 2
     A = np.zeros((T, n))

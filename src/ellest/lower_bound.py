@@ -24,7 +24,6 @@ import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .ellitope import BOX, SEGMENT, Ellitope, add_tset_cone, phi_terms
 from .estimator import EstimationProblem, build_linear_estimate
@@ -292,8 +291,7 @@ def m_star(B: np.ndarray, ell: Ellitope) -> float:
     if not np.any(B):
         return 0.0
     if ell.K == 1:
-        return spectral_norm(scipy.linalg.solve_triangular(np.linalg.cholesky(ell.S[0]),
-                                                           B.T, lower=True))
+        return spectral_norm(np.linalg.solve(np.linalg.cholesky(ell.S[0]), B.T))
     val, _, _ = _max_trace_over_covariances(sym(B.T @ B), ell)
     return float(np.sqrt(max(val, 0.0)))
 

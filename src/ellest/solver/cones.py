@@ -47,8 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg.blas import dger
+import scipy
 
 from ..linalg import matrix_basis, safe_cholesky, smat, svec, svec_len
 
@@ -317,7 +316,7 @@ class Scaling:
                 x[span] = v
                 # H[span, :] += (2 / beta^2) v x' as a rank-one update of the
                 # F-ordered transpose of those rows, in place
-                dger(2.0 / (beta * beta), x, v, a=H[span].T, overwrite_a=True)
+                scipy.linalg.blas.dger(2.0 / (beta * beta), x, v, a=H[span].T, overwrite_a=True)
                 H[rows, cols] -= C / (beta * beta)
             else:
                 _lmi_schur(H, blk[1], *fb)

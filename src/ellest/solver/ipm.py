@@ -36,8 +36,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
+import scipy  # scipy.linalg and scipy.sparse load on first use, at the first solve
 
 from .cones import ColumnFactors, ConeDims, Scaling, cone_margin, jordan_mul, max_step
 

@@ -29,7 +29,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import scipy.sparse
+import scipy
 
 from ..linalg import _svec_scale, _tri_indices, matrix_basis, svec
 from .cones import ConeDims

@@ -17,7 +17,6 @@ from ellest import (
     exact_risk_on_ellipsoid,
     worst_case_signal,
 )
-from ellest.ellitope import SEGMENT
 from ellest.estimator import _design_sdp, _ellipsoid_dual
 from ellest.rng import stream
 from ellest.solver import SolverError, ipm
@@ -64,8 +63,7 @@ def test_one_row_closed_form_matches_the_sdp(case, conelp_calls):
     np.testing.assert_allclose(est.H[:, 0], h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
     assert est.lam[0] == pytest.approx(lam, rel=1e-12, abs=1e-12 * est.opt)
     assert est.opt == pytest.approx(s2 * (h @ h) + lam, rel=1e-12)
-    if prob.ell.tset.variant == SEGMENT:
-        assert exact_risk_on_ellipsoid(est.H, prob) == pytest.approx(est.opt, rel=1e-12)
+    assert exact_risk_on_ellipsoid(est.H, prob) == pytest.approx(est.opt, rel=1e-12)
     padded = EstimationProblem(prob.A, np.vstack([prob.B, 0.0 * prob.B]), prob.sigma, prob.ell)
     assert build_linear_estimate(padded).opt == pytest.approx(est.opt, rel=ipm.gap_tolerance())
     sdp = _design_sdp(padded)
@@ -169,6 +167,26 @@ def test_worst_case_signal_attains_bias():
     bias_sq = float(np.sum((M @ x) ** 2))
     exact = exact_risk_on_ellipsoid(est.H, prob)
     assert prob.sigma ** 2 * np.sum(est.H ** 2) + bias_sq == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("tset", [TSet.unit_box(1), TSet.pnorm_ball(1, 2.0),
+                                  TSet.pnorm_ball(1, 4.0)], ids=["box", "pnorm-2", "pnorm-4"])
+def test_every_one_target_set_is_the_same_ellipsoid(tset):
+    # a K = 1 T is [0, 1] whatever its variant, so the exact risk and the
+    # worst-case signal are those of the segment's ellipsoid {x'S_1 x <= 1}
+    rng = stream(21, 250)
+    n, m, nu = 4, 3, 2
+    G = rng.standard_normal((n, n))
+    S1 = G @ G.T / n + 0.2 * np.eye(n)
+    A, B = rng.standard_normal((m, n)), rng.standard_normal((nu, n))
+    segment = EstimationProblem(A, B, 0.25, Ellitope.ellipsoid(S1))
+    other = EstimationProblem(A, B, 0.25, Ellitope(n, S1[None], tset))
+    H = build_linear_estimate(segment).H
+    assert exact_risk_on_ellipsoid(H, other) == exact_risk_on_ellipsoid(H, segment)
+    np.testing.assert_array_equal(worst_case_signal(H, other), worst_case_signal(H, segment))
+    two = EstimationProblem(A, B, 0.25, Ellitope(n, np.stack([S1, np.eye(n)]), TSet.unit_box(2)))
+    with pytest.raises(ValueError, match="K = 1"):
+        exact_risk_on_ellipsoid(H, two)
 
 
 def test_empirical_risk_within_certificate():

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ellest import experiments
 from ellest.experiments import (
@@ -39,6 +40,14 @@ def test_propagator_damping():
     moduli = np.abs(np.linalg.eigvals(pp.P))
     np.testing.assert_allclose(moduli, np.exp(-pp.kappa * pp.delta / 2.0),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("delta, kappa, eigenfreq", [
+    (1.0, 0.05, 0.125), (0.5, 0.3, 0.01), (2.0, 0.01, 1e-4), (0.1, 1.0, 2.0)])
+def test_propagator_matches_expm(delta, kappa, eigenfreq):
+    # the closed form of exp(delta*theta) against scipy's Pade approximant
+    pp = build_pendulum_problem(delta, kappa, eigenfreq, T=2)
+    np.testing.assert_allclose(pp.P, scipy.linalg.expm(delta * pp.theta), rtol=1e-14, atol=0)
 
 
 def test_trajectory_operator_matches_recurrence():

@@ -1,10 +1,13 @@
 """Static checks: every name a module of the package imports is used in it,
 every private module-level name is referenced somewhere in the package,
-every function the benchmark wraps exists, and the solver's duality-gap
-target is read in one place and passed to no function. One run in a fresh
+every function the benchmark wraps exists, the solver's duality-gap target
+is read in one place and passed to no function, and only the solver names
+a scipy submodule, never in a module-level import. One run in a fresh
 interpreter checks that the package and every CLI command, the refined
 lower bounds and their Chernoff tail included, leave scipy.optimize and
-scipy.special unloaded.
+scipy.special unloaded; another that the package and the commands that
+solve no conic program leave scipy.linalg and scipy.sparse unloaded, and
+that the first conic solve loads both.
 
 Package __init__ modules are exempt from the import check, since their
 imports are re-exports."""
@@ -101,6 +104,46 @@ def test_perfbench_layers_resolve():
     assert "scipy.linalg.lu_factor(" in source and "scipy.linalg.lu_solve(" in source
 
 
+def _scipy_submodule_uses(tree: ast.Module) -> list[tuple[int, str, bool]]:
+    """(line, name, at import time) of each scipy submodule the module names:
+    in an import statement, or as an attribute of the scipy module. An
+    import outside every function runs at import time."""
+    deferred = {id(n) for f in ast.walk(tree)
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                for n in ast.walk(f) if n is not f}
+    aliases = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names if a.name == "scipy"}
+    out = []
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("scipy.")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            names = [f"scipy.{a.name}" for a in node.names if a.name != "__version__"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy."):
+            names = [node.module]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases and node.attr != "__version__"):
+            names = [f"scipy.{node.attr}"]
+        at_import = isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in deferred
+        out += [(node.lineno, name, at_import) for name in names]
+    return out
+
+
+def test_scipy_submodules_load_at_the_first_conic_solve():
+    # scipy loads a submodule on first attribute access, so the solver's
+    # scipy.linalg and scipy.sparse cost nothing until a conic program is
+    # solved; outside the solver only scipy.__version__ is read
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE.parent)
+        in_solver = rel.parts[1] == "solver"
+        for line, name, at_import in _scipy_submodule_uses(ast.parse(path.read_text())):
+            if at_import or not in_solver:
+                found.append(f"{rel}:{line}: {name}")
+    assert not found, "scipy submodules named outside a conic solve:\n" + "\n".join(found)
+
+
 def _docstrings(tree: ast.Module) -> set:
     nodes = [tree] + [n for n in ast.walk(tree) if isinstance(
         n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
@@ -179,3 +222,46 @@ def test_cli_commands_leave_scipy_optimize_and_special_unloaded(tmp_path):
     assert set(loaded) == {"import", "estimate", "robust", "srisk", "sdprelax", "pendulum",
                            "contraction", "quadratic_approx", "ellipsoid"}
     assert all(mods == [] for mods in loaded.values()), loaded
+
+
+_NUMPY_ONLY = """
+import sys
+import numpy as np
+import ellest, ellest.cli
+from ellest import Ellitope, io
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+
+rng = np.random.default_rng(5)
+io.write_matrix("A.csv", rng.normal(size=(3, 3)))
+io.write_matrix("B.csv", rng.normal(size=(2, 3)))
+io.write_ellitope("ell.json", Ellitope.ellipsoid(np.diag([1.0, 2.0, 3.0])))
+io.write_ellitope("box.json", Ellitope.coordinate_box(np.ones(3)))
+out = {"import": loaded()}
+for label, argv in (
+        ("pendulum", ["experiment", "pendulum", "--horizon", "2", "--out", "pend",
+                      "--report", "p.json"]),
+        ("estimate", ["estimate", "A.csv", "B.csv", "ell.json", "--sigma", "0.5",
+                      "--report", "e.json"]),
+        ("srisk", ["srisk", "A.csv", "B.csv", "--sigma", "0.5", "--optimize-S",
+                   "--report", "s.json"]),
+        ("box", ["estimate", "A.csv", "B.csv", "box.json", "--sigma", "0.5",
+                 "--report", "b.json"])):
+    assert ellest.cli.main(argv) == 0, argv
+    out[label] = loaded()
+print(out)
+"""
+
+
+def test_one_ellipsoid_commands_leave_the_solver_stack_unloaded(tmp_path):
+    # the pendulum study, a design on an ellipsoid and the S optimization run
+    # on numpy alone; the box design is a conic solve and loads both
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ONLY], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    loaded = ast.literal_eval(run.stdout.strip().splitlines()[-1])
+    solver_stack = ["scipy.linalg", "scipy.sparse"]
+    assert loaded == {"import": [], "pendulum": [], "estimate": [], "srisk": [],
+                      "box": solver_stack}, loaded
