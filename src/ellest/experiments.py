@@ -6,25 +6,31 @@ Two kinds of runs are supported:
   minimax linear estimate on an ellipsoid (S1 = diag(1^2..n^2)) or on the
   circumscribed coordinate box (S_k = k^2 e_k e_k'), compute the rho-family
   lower bound plus the refined variants applicable to the geometry, and
-  report numeric and computable near-optimality factors.
+  report numeric and computable near-optimality factors. The rows are
+  independent: with more than one usable CPU they run in a pool of forked
+  worker processes, one per CPU, and the records keep the grid order.
 
 * ``run_pendulum_experiment``: a damped oscillator driven by piecewise
   constant inputs is observed through noisy positions; for each recovery
   target (single inputs w_t and trailing blocks w^(K)) the trace-capped
-  S-risk design is optimized by one SDP and compared with the worst-case
-  ball design.
+  S-risk design is optimized in closed form and compared with the
+  worst-case ball design. Its rows take milliseconds each, less than a
+  worker pool takes to start, so they run in the calling process.
 
 Output is plot-ready CSV (one record per row, "%.17g" floats, no wall-clock
 columns so reruns with the same config are byte-identical) plus a JSON
 sidecar carrying the full config, an environment fingerprint (with the
-solver's duality-gap target, environment.solver_tol), and timing.
+solver's duality-gap target, environment.solver_tol, and the number of
+processes the rows ran in, environment.workers), and timing.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -47,6 +53,7 @@ from .lower_bound import (
 from .rng import stream
 from .s_risk import optimize_S_bisection
 from .solver.ipm import gap_tolerance
+from .solver.program import program_dump_active
 
 ELLIPSOID = "ellipsoid"
 BOX = "box"
@@ -66,6 +73,8 @@ PENDULUM_COLUMNS = (
     "scenario", "target", "n", "sigma", "seed",
     "opt_b", "bayes_field", "ball_risk", "s_eigenvalues", "error",
 )
+# the refined lower bounds that apply to each suboptimality study's set
+REFINE_METHODS = {ELLIPSOID: (CONTRACTION, QUADRATIC_APPROX), BOX: (PARALLELOTOPE,)}
 
 
 @dataclass(frozen=True)
@@ -163,49 +172,81 @@ def _scenario_set(scenario: str, n: int) -> Ellitope:
 
 
 def run_suboptimality_experiment(cfg: ScenarioConfig) -> list[ExperimentRecord]:
-    """Grid sweep of upper bound, lower bounds, and factors; writes CSV if asked."""
+    """Grid sweep of upper bound, lower bounds, and factors; writes CSV if asked.
+
+    A, the set and m_star are computed here once per n; the (n, sigma) rows
+    then run in grid order, in this process or across a pool of forked
+    workers (_sweep_workers), and come back in that order either way."""
     if cfg.scenario not in (ELLIPSOID, BOX):
         raise ValueError("suboptimality runs take the ellipsoid or box scenario")
-    refine_methods = (CONTRACTION, QUADRATIC_APPROX) if cfg.scenario == ELLIPSOID \
-        else (PARALLELOTOPE,)
-    records = []
+    rows = []
     for n in cfg.n_grid:
         A = gen_random_rotated_A(n, seed=cfg.seed)
         ell = _scenario_set(cfg.scenario, n)
-        B = np.eye(n)
-        ms = None                            # m_star depends on (B, ell) only
-        for sigma in cfg.sigma_grid:
-            t0 = time.perf_counter()
-            rec = ExperimentRecord(cfg.scenario, n, sigma, cfg.seed, np.nan)
-            errs = []
-            try:
-                prob = EstimationProblem(A, B, sigma, ell)
-                est = build_linear_estimate(prob)
-                if ms is None:
-                    ms = m_star(B, ell)
-                rec.opt_upper = est.risk_bound
-                rec.lb_by_method[RHO_FAMILY] = lower_bound_rho_family(est.opt, ms, ell.K).lb
-                for meth in refine_methods:
-                    try:
-                        rep = best_refined_lower_bound(
-                            prob, meth, deltas=cfg.refine_deltas, opt=est.opt,
-                            mstar=ms)
-                        rec.lb_by_method[meth] = rep.lb
-                    except Exception as exc:  # keep the row, note the method
-                        errs.append(f"{meth}: {type(exc).__name__}: {exc}")
-                rec.factor_computable = near_optimality_factor(
-                    est.opt, ms, ell.K).factor_computable
-                best = max(rec.lb_by_method.values(), default=0.0)
-                if best > 0:
-                    rec.factor_numeric = est.risk_bound / best
-            except Exception as exc:
-                errs.append(f"{type(exc).__name__}: {exc}")
-            rec.error = "; ".join(errs) if errs else None
-            rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-            records.append(rec)
+        try:                                 # m_star depends on (B, ell) only
+            ms = m_star(np.eye(n), ell)
+        except Exception as exc:             # becomes the error of every row of n
+            ms = f"{type(exc).__name__}: {exc}"
+        rows += [(cfg, A, ell, ms, sigma) for sigma in cfg.sigma_grid]
+    workers = _sweep_workers(len(rows))
+    if workers == 1:
+        records = [_sweep_row(row) for row in rows]
+    else:
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            records = pool.map(_sweep_row, rows, chunksize=1)
     if cfg.out_dir is not None:
-        write_records(records, cfg)
+        write_records(records, cfg, workers)
     return records
+
+
+def _sweep_workers(rows: int) -> int:
+    """Worker processes for a sweep of this many rows: one per usable CPU, or
+    1 (the rows run in this process) while a --dump-program dump numbers the
+    solves in this process's order, where fork is unavailable, or while
+    other threads run, since fork is safe only from a single thread."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(rows, cpus)
+    if workers == 1 or program_dump_active() or threading.active_count() > 1:
+        return 1
+    # imported here, so that importing ellest does not load multiprocessing
+    import multiprocessing
+
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _sweep_row(row: tuple) -> ExperimentRecord:
+    """One (n, sigma) row of a suboptimality sweep; a failure becomes its error."""
+    cfg, A, ell, ms, sigma = row
+    t0 = time.perf_counter()
+    rec = ExperimentRecord(cfg.scenario, ell.n, sigma, cfg.seed, np.nan)
+    errs = []
+    try:
+        prob = EstimationProblem(A, np.eye(ell.n), sigma, ell)
+        est = build_linear_estimate(prob)
+        if isinstance(ms, str):              # m_star failed for this n
+            errs.append(ms)
+        else:
+            rec.opt_upper = est.risk_bound
+            rec.lb_by_method[RHO_FAMILY] = lower_bound_rho_family(est.opt, ms, ell.K).lb
+            for meth in REFINE_METHODS[cfg.scenario]:
+                try:
+                    rep = best_refined_lower_bound(
+                        prob, meth, deltas=cfg.refine_deltas, opt=est.opt, mstar=ms)
+                    rec.lb_by_method[meth] = rep.lb
+                except Exception as exc:  # keep the row, note the method
+                    errs.append(f"{meth}: {type(exc).__name__}: {exc}")
+            rec.factor_computable = near_optimality_factor(
+                est.opt, ms, ell.K).factor_computable
+            best = max(rec.lb_by_method.values(), default=0.0)
+            if best > 0:
+                rec.factor_numeric = est.risk_bound / best
+    except Exception as exc:
+        errs.append(f"{type(exc).__name__}: {exc}")
+    rec.error = "; ".join(errs) if errs else None
+    rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +434,8 @@ def check_invariants(records: list, cfg: ScenarioConfig) -> list:
             if ex["bayes_field"] > ex["ball_risk"] * (1 + 1e-7) + 1e-9:
                 bad.append(f"{ex['target']}: ball risk below the trace-capped field")
             if ex["kind"] == "block":
-                # solver-accuracy slack: each level is an SDP optimum
+                # rounding slack: each level is optimize_S_bisection's closed
+                # form, whose crossing is bisected to adjacent floats
                 if prev is not None and ex["opt_b"] < prev - 1e-6 * max(1.0, abs(prev)):
                     bad.append(f"{ex['target']}: Opt[B] decreased along nested blocks")
                 prev = ex["opt_b"]
@@ -425,8 +467,10 @@ def _pendulum_row(rec: ExperimentRecord) -> list:
             rec.error or ""]
 
 
-def write_records(records: list, cfg: ScenarioConfig) -> Path:
-    """CSV (deterministic bytes) plus a JSON sidecar with config and timings."""
+def write_records(records: list, cfg: ScenarioConfig, workers: int = 1) -> Path:
+    """CSV (deterministic bytes) plus a JSON sidecar with config and timings;
+    workers is the number of processes the rows ran in, recorded in the
+    sidecar only (the CSV does not depend on it)."""
     solver_tol = gap_tolerance()      # a bad value raises before any file is written
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -447,6 +491,7 @@ def write_records(records: list, cfg: ScenarioConfig) -> Path:
             "scipy": scipy.__version__,
             "platform": platform.platform(),
             "solver_tol": solver_tol,
+            "workers": workers,
         },
         "n_records": len(records),
         "wall_time_ms": [round(r.wall_time_ms, 3) for r in records],

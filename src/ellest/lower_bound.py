@@ -369,9 +369,10 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
 
     method selects the set: 'contraction' shrinks the trace constraints by
     rho(delta) (any ellitope); 'quadratic_approx' uses the one-constraint
-    chance-constraint surrogate (K = 1 ellipsoid only); 'parallelotope' uses
-    exact Gaussian marginals (rank-1 S_k only). The probability estimate is
-    refined at the optimizer before entering the risk bound.
+    chance-constraint surrogate (K = 1 only: each such set is an ellipsoid);
+    'parallelotope' uses exact Gaussian marginals (rank-1 S_k only). The
+    probability estimate is refined at the optimizer before entering the
+    risk bound.
     """
     if not 0.0 < delta <= 0.2:
         raise ValueError("delta must lie in (0, 1/5]")
@@ -387,7 +388,7 @@ def refined_lower_bound(prob: EstimationProblem, method: str, delta: float, *,
         rho = rho_of_delta(delta, K)
         b, _ = _bayesian_program(prob, rho)
     elif method == QUADRATIC_APPROX:
-        if K != 1 or ell.tset.variant != SEGMENT:
+        if K != 1:                   # every K = 1 T is [0, 1]: an ellipsoid
             raise ValueError("quadratic_approx needs a K = 1 ellipsoid")
         b, q = _bayesian_program(prob, None)
         wf = b.vars("w_fro", 1)

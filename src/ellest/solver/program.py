@@ -104,6 +104,12 @@ def set_program_dump(prefix: str | None) -> None:
         _dump_state.extend([str(prefix), 0])
 
 
+def program_dump_active() -> bool:
+    """True while set_program_dump has a prefix: the dump files are numbered
+    in this process's solve order."""
+    return bool(_dump_state)
+
+
 def _dump_lowered(path: str, prog: ConicProgram, c, G, h, dims) -> None:
     with open(path, "w") as fp:
         json.dump({"num_vars": prog.num_vars, "c": c.tolist(), "G": G.toarray().tolist(),

@@ -5,6 +5,9 @@ instance generator."""
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from ellest.experiments import (
     write_records,
 )
 from ellest.rng import stream
+from ellest.solver import set_program_dump
 
 
 # --- oscillator discretization ---
@@ -238,6 +242,79 @@ def test_csv_byte_determinism(tmp_path):
         payload = (d / "box.csv").read_bytes()
         digests.append(hashlib.sha256(payload).hexdigest())
     assert digests[0] == digests[1]
+
+
+def _sweep_on(monkeypatch, cpus: int, out) -> tuple:
+    """Run a 2-n x 2-sigma ellipsoid sweep with this many usable CPUs; return
+    its CSV bytes and the sidecar's worker count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cfg = ScenarioConfig(scenario=ELLIPSOID, n_grid=(4, 6), sigma_grid=(0.05, 0.25),
+                         refine_deltas=(0.1,), out_dir=str(out))
+    run_suboptimality_experiment(cfg)
+    meta = json.loads((out / "ellipsoid.json").read_text())
+    return (out / "ellipsoid.csv").read_bytes(), meta["environment"]["workers"]
+
+
+def test_sweep_rows_fan_out_to_forked_workers(tmp_path, monkeypatch):
+    # one usable CPU keeps the rows in this process, two fork a pool; the CSV
+    # is the same bytes either way and no worker outlives the sweep
+    pids, real = tmp_path / "pids.txt", experiments.build_linear_estimate
+
+    def recorded(prob):
+        with open(pids, "a") as fp:
+            fp.write(f"{os.getpid()}\n")
+        return real(prob)
+
+    monkeypatch.setattr(experiments, "build_linear_estimate", recorded)
+    ran_in = {}
+    for cpus in (1, 2):
+        pids.write_text("")
+        ran_in[cpus] = _sweep_on(monkeypatch, cpus, tmp_path / f"cpus{cpus}")
+        assert multiprocessing.active_children() == []
+        row_pids = pids.read_text().split()
+        assert len(row_pids) == 4
+        assert (str(os.getpid()) in row_pids) == (cpus == 1)
+    assert ran_in[1] == (ran_in[2][0], 1)
+    assert ran_in[2][1] == 2
+    assert threading.active_count() == 1
+
+
+def test_program_dump_keeps_the_sweep_in_process(tmp_path, monkeypatch, conelp_calls):
+    # dump files are numbered in one process's solve order: 1..k, no gap or overwrite
+    prefix = tmp_path / "dump" / "prog"
+    prefix.parent.mkdir()
+    set_program_dump(str(prefix))
+    try:
+        csv_bytes, workers = _sweep_on(monkeypatch, 2, tmp_path / "out")
+    finally:
+        set_program_dump(None)
+    assert workers == 1
+    assert conelp_calls
+    assert sorted(p.name for p in prefix.parent.iterdir()) == sorted(
+        f"prog.{k}.json" for k in range(1, len(conelp_calls) + 1))
+    assert csv_bytes == _sweep_on(monkeypatch, 1, tmp_path / "plain")[0]
+
+
+def test_sweep_workers_rules(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [experiments._sweep_workers(rows) for rows in (1, 2, 8)] == [1, 2, 3]
+    set_program_dump("unused-prefix")
+    try:
+        assert experiments._sweep_workers(8) == 1
+    finally:
+        set_program_dump(None)
+    # fork is safe only from a single-threaded interpreter
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert experiments._sweep_workers(8) == 1
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert experiments._sweep_workers(8) == 1
 
 
 def test_pendulum_run_small(tmp_path):

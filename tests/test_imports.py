@@ -3,8 +3,9 @@ every private module-level name is referenced somewhere in the package,
 every function the benchmark wraps exists, the solver's duality-gap target
 is read in one place and passed to no function, and only the solver names
 a scipy submodule, never in a module-level import. One run in a fresh
-interpreter checks that the package and every CLI command, the refined
-lower bounds and their Chernoff tail included, leave scipy.optimize and
+interpreter checks that importing the package and its CLI leaves
+multiprocessing unloaded, and that every CLI command, the refined lower
+bounds and their Chernoff tail included, leaves scipy.optimize and
 scipy.special unloaded; another that the package and the commands that
 solve no conic program leave scipy.linalg and scipy.sparse unloaded, and
 that the first conic solve loads both.
@@ -178,6 +179,8 @@ import sys
 import numpy as np
 import ellest, ellest.cli
 from ellest import Ellitope, io
+# only a suboptimality sweep that forks its workers loads multiprocessing
+assert "multiprocessing" not in sys.modules, "import ellest loads multiprocessing"
 
 rng = np.random.default_rng(5)
 io.write_matrix("A.csv", rng.normal(size=(3, 3)))

@@ -300,6 +300,12 @@ def test_refined_bounds_small_ellipsoid():
         assert 0 <= r.lb <= math.sqrt(est.opt) + 1e-9
         assert r.delta_refined <= r.delta + 1e-15
         assert r.details["opt_delta"] > 0
+    # a K = 1 T is [0, 1] whatever its variant, so every one is the same ellipsoid
+    quad = refined_lower_bound(prob, QUADRATIC_APPROX, 0.1, opt=est.opt, mstar=ms)
+    for tset in (TSet.unit_box(1), TSet.pnorm_ball(1, 2.0), TSet.pnorm_ball(1, 4.0)):
+        other = EstimationProblem(A, B, 0.5, Ellitope(n, ell.S, tset))
+        r = refined_lower_bound(other, QUADRATIC_APPROX, 0.1, opt=est.opt, mstar=ms)
+        assert (r.lb, r.details["opt_delta"]) == (quad.lb, quad.details["opt_delta"])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
