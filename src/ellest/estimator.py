@@ -45,15 +45,26 @@ from .rng import stream
 from .solver import Builder, ConicSolution, SolverError, ipm, solve_or_raise
 
 
+def check_sigma(sigma: float) -> None:
+    """ValueError unless sigma and sigma^2 are finite positive numbers: every
+    program reads sigma^2, which overflows (sigma ** 2 raises) above about
+    1.3e154 and underflows to 0 below about 1.6e-162."""
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be a finite positive number, got {sigma}")
+    if not 0 < sigma * sigma < np.inf:
+        raise ValueError(f"sigma^2 must be a finite positive number, got {sigma * sigma} "
+                         f"at sigma = {sigma}")
+
+
 def check_observation(A, B, sigma: float, n: int | None = None):
-    """(A, B) as 2-D float arrays with n columns (A's if None), sigma > 0 finite, B != 0."""
+    """(A, B) as 2-D float arrays with n columns (A's if None), sigma and
+    sigma^2 finite and positive (check_sigma), B != 0."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[1] if n is None else n
     if A.shape[1] != n or B.shape[1] != n:
         raise ValueError(f"A and B must have n = {n} columns, got {A.shape[1]} and {B.shape[1]}")
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be a finite positive number, got {sigma}")
+    check_sigma(sigma)
     if not np.any(B):
         raise ValueError("B must be nonzero")
     return A, B

@@ -39,7 +39,7 @@ import numpy as np
 import scipy
 
 from .ellitope import Ellitope
-from .estimator import EstimationProblem, build_linear_estimate
+from .estimator import EstimationProblem, build_linear_estimate, check_sigma
 from .lower_bound import (
     CONTRACTION,
     PARALLELOTOPE,
@@ -106,8 +106,10 @@ class ScenarioConfig:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
-        if not self.sigma_grid or not all(0 < s < np.inf for s in self.sigma_grid):
-            raise ValueError("sigma_grid must be nonempty, finite and positive")
+        if not self.sigma_grid:
+            raise ValueError("sigma_grid must be nonempty")
+        for sigma in self.sigma_grid:
+            check_sigma(sigma)
         if pendulum:
             if self.horizon < 1:
                 raise ValueError("horizon must be >= 1")
@@ -435,7 +437,9 @@ def check_invariants(records: list, cfg: ScenarioConfig) -> list:
                 bad.append(f"{ex['target']}: ball risk below the trace-capped field")
             if ex["kind"] == "block":
                 # rounding slack: each level is optimize_S_bisection's closed
-                # form, whose crossing is bisected to adjacent floats
+                # form, whose crossing is found by Newton steps safeguarded
+                # by bisection on the ridge weight, to the same adjacent-float
+                # bracket
                 if prev is not None and ex["opt_b"] < prev - 1e-6 * max(1.0, abs(prev)):
                     bad.append(f"{ex['target']}: Opt[B] decreased along nested blocks")
                 prev = ex["opt_b"]

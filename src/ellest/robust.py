@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellitope import Ellitope
-from .estimator import add_design_lmi, add_neg_product
+from .estimator import add_design_lmi, add_neg_product, check_sigma
 from .linalg import sym
 from .rng import stream
 from .s_risk import _add_srisk_objective, _srisk_design, psd_weight
@@ -95,8 +95,7 @@ def build_robust_estimate(um: UncertaintyModel, sigma: float, S: np.ndarray,
     With a vanishing uncertainty channel (r = 0, E = 0 or F = 0) the border
     is empty and there is no mu: this is the nominal S-risk design program,
     and mu = 0 is returned."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be a finite positive number, got {sigma}")
+    check_sigma(sigma)
     A, B = um.A_star, um.B_star
     m, n, nu = um.m, um.n, um.nu
     if ell.n != n:
@@ -150,18 +149,21 @@ def verify_robust_feasibility(H: np.ndarray, lam: np.ndarray, tau: float,
     first draw which sits on the boundary u = 1 where feasibility binds.
     Draw i comes from stream(seed, i); the spectral norms and the smallest
     eigenvalues are taken over batches of draws (design_lmi_min_eig, one
-    draw at a time, gives the same fraction)."""
+    draw at a time, gives the same fraction). With L0 = sum lam_k S_k + tau S
+    and D = B - H'A at a draw, the LMI [[L0, D'],[D, I]] has eigenvalues
+    >= -eps (eps = 1e-7) exactly when L0 + eps I - D'D / (1 + eps), the
+    Schur complement of the (1 + eps) I block of the LMI plus eps I, is
+    positive semidefinite, so only that n x n matrix is eigen-solved."""
     if N < 1:
         raise ValueError("N must be at least 1")
     S = sym(np.asarray(S, dtype=float))
+    eps = 1e-7
     if um.r == 0.0 or not np.any(um.E) or not np.any(um.F):
         # every draw is Delta = 0
-        return float(design_lmi_min_eig(H, lam, tau, um.A_star, um.B_star, S, ell) >= -1e-7)
+        return float(design_lmi_min_eig(H, lam, tau, um.A_star, um.B_star, S, ell) >= -eps)
     p, q = um.E.shape[0], um.F.shape[0]
     n, m, nu = ell.n, um.m, um.nu
-    M0 = np.zeros((n + nu, n + nu))
-    M0[:n, :n] = np.einsum("k,kij->ij", lam, ell.S) + tau * S
-    M0[n:, n:] = np.eye(nu)
+    L0_eps = np.einsum("k,kij->ij", lam, ell.S) + tau * S + eps * np.eye(n)
     batch = max(1, VERIFY_ENTRIES // (n + nu) ** 2)
     good = 0
     for lo in range(0, N, batch):
@@ -176,8 +178,6 @@ def verify_robust_feasibility(H: np.ndarray, lam: np.ndarray, tau: float,
         Delta = G * (u * um.r / np.where(nrm > 0, nrm, 1.0))[:, None, None]
         shift = um.E.T @ Delta @ um.F
         D = (um.B_star + shift[:, m:]) - H.T @ (um.A_star + shift[:, :m])
-        M = np.repeat(M0[None], k, axis=0)
-        M[:, :n, n:] = np.swapaxes(D, 1, 2)
-        M[:, n:, :n] = D
-        good += int(np.count_nonzero(np.linalg.eigvalsh(M)[:, 0] >= -1e-7))
+        schur = L0_eps - np.swapaxes(D, 1, 2) @ D / (1.0 + eps)
+        good += int(np.count_nonzero(np.linalg.eigvalsh(schur)[:, 0] >= 0.0))
     return good / N

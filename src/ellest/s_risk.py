@@ -164,6 +164,43 @@ def whole_space_estimate(A: np.ndarray, B: np.ndarray, sigma: float,
     return est
 
 
+def _ridge_path(theta: float, s: np.ndarray, w: np.ndarray, p: float, sigma: float,
+                trace_cap: float):
+    """(h, f1, f2, slope) at weight theta of optimize_S_bisection's ridge
+    path: H(theta) = U diag(h) C, whose residual B' - A'H(theta) is
+    (B' - V C) + V diag(r) C with r_i = theta rho / den_i, rho = sigma^2 c;
+    at theta = 0 a zero s_i takes h_i = 0, r_i = 1. slope is the derivative
+    of log(f1/f2) in log kappa, kappa = theta rho / (1 - theta) the ridge
+    weight (h_i = s_i / (kappa + s_i^2), r_i = kappa / (kappa + s_i^2)):
+
+        -2 (sum w r h^2 / sum w h^2 + sum w r^2 (1 - r) / (p + sum w r^2)),
+
+    nan where f1 or f2 is 0."""
+    ridge = sigma ** 2 * trace_cap
+    den = theta * ridge + (1.0 - theta) * s * s
+    h = np.divide((1.0 - theta) * s, den, out=np.zeros_like(s), where=den > 0)
+    r = np.divide(theta * ridge, den, out=np.ones_like(s), where=den > 0)
+    h2, r2 = h * h, r * r
+    wh2, wr2 = float(w @ h2), p + float(w @ r2)
+    slope = (-2.0 * (float(w @ (r * h2)) / wh2 + float(w @ (r2 - r2 * r)) / wr2)
+             if wh2 > 0 < wr2 else math.nan)
+    return h, sigma ** 2 * wh2, wr2 / trace_cap, slope
+
+
+def _newton_step(theta: float, f1: float, f2: float, slope: float):
+    """(theta', |log(f1/f2)|): Newton's step on log(f1/f2) over
+    logit(theta) = log(kappa / rho) from theta, or (nan, inf) from theta = 0
+    or 1 or where f1 or f2 is 0. exp takes -|x| only, so it cannot overflow."""
+    if not (0 < theta < 1 and f1 > 0 < f2 and slope < 0):
+        return math.nan, math.inf
+    gap = math.log(f1) - math.log(f2)
+    x = gap / slope                       # logit(theta') = logit(theta) - x
+    z = math.exp(-abs(x))
+    if x > 0:
+        return theta * z / (theta * z + 1.0 - theta), abs(gap)
+    return theta / (theta + (1.0 - theta) * z), abs(gap)
+
+
 def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
                          trace_cap: float = 1.0):
     """Smallest achievable S-risk level when S itself is a design variable
@@ -174,14 +211,21 @@ def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
         tau* = min_H max(f1, f2),  f1 = sigma^2 ||H||_F^2,  f2 = ||M||_F^2 / c.
 
     The minimizer H(theta) of theta f1 + (1 - theta) f2 is a ridge
-    regression, closed form in one thin SVD of A; from the least-squares end
-    theta = 0 to H = 0 at theta = 1, f1 falls and f2 rises. tau* is f2 at
-    theta = 0 when f1 <= f2 there, and otherwise the crossing f1 = f2,
-    bisected to adjacent floats: min_H theta f1 + (1 - theta) f2 is a lower
-    bound on tau* for every theta, and meets max(f1, f2) there. Returns
-    (S_star, H_star, tau_star) with tau_star = max(f1, f2) at H_star and
-    S_star = M'M / tau_star, of rank at most nu: exactly feasible, with
-    tau_star its exact objective."""
+    regression, closed form in one thin SVD of A (_ridge_path); from the
+    least-squares end theta = 0 to H = 0 at theta = 1, f1 falls and f2
+    rises. tau* is f2 at theta = 0 when f1 <= f2 there, and otherwise the
+    crossing f1 = f2: min_H theta f1 + (1 - theta) f2 is a lower bound on
+    tau* for every theta, and meets max(f1, f2) there. The crossing is found
+    by Newton steps safeguarded by bisection on the ridge weight, to the
+    same adjacent-float bracket (f1 > f2 at lo, not at hi) that bisecting
+    theta from [0, 1] reaches wherever the computed sign of f1 - f2 changes
+    once along the floats. Each step is Newton's on log(f1/f2) over log
+    kappa (_newton_step) from the bracket end with the smaller |log(f1/f2)|,
+    taken when it lands strictly inside the bracket; a step that stalls on
+    that end moves 1, 2, 4, ... floats toward the other end, and any other
+    step is the midpoint. Returns (S_star, H_star, tau_star)
+    with tau_star = max(f1, f2) at H_star and S_star = M'M / tau_star, of
+    rank at most nu: exactly feasible, with tau_star its exact objective."""
     A, B = check_observation(A, B, sigma)
     if not 0 < trace_cap < math.inf:
         raise ValueError(f"trace_cap must be a finite positive number, got {trace_cap}")
@@ -191,27 +235,31 @@ def optimize_S_bisection(A: np.ndarray, B: np.ndarray, sigma: float,
     C = Vt @ B.T
     w = np.sum(C * C, axis=1)
     p = float(np.sum((B.T - Vt.T @ C) ** 2))      # the part of B' no H reaches
-    ridge = sigma ** 2 * trace_cap
-
-    def path(theta):
-        """(h, f1, f2) at H(theta) = U diag(h) C, whose residual
-        B' - A'H(theta) is (B' - V C) + V diag(r) C; at theta = 0 a zero s_i
-        takes h_i = 0, r_i = 1."""
-        den = theta * ridge + (1.0 - theta) * s * s
-        h = np.divide((1.0 - theta) * s, den, out=np.zeros_like(s), where=den > 0)
-        r = np.divide(theta * ridge, den, out=np.ones_like(s), where=den > 0)
-        return h, sigma ** 2 * float(w @ h ** 2), (p + float(w @ r ** 2)) / trace_cap
-
-    _, f1, f2 = path(0.0)
-    lo, hi = 0.0, (1.0 if f1 > f2 else 0.0)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        _, f1, f2 = path(mid)
-        if f1 > f2:
-            lo = mid
+    at = {0.0: _ridge_path(0.0, s, w, p, sigma, trace_cap)}
+    lo, hi = 0.0, (1.0 if at[0.0][1] > at[0.0][2] else 0.0)
+    stride = 1
+    while True:
+        t, _, end, other = min((_newton_step(e, *at[e][1:]) + (e, o)
+                                for e, o in ((lo, hi), (hi, lo)) if e in at),
+                               key=lambda step: step[1])
+        if lo < t < hi:
+            stride = 1
+        elif (t - end) * (other - end) <= 0:
+            t = end + math.copysign(stride * math.ulp(end), other - end)
+            stride *= 2
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break
+        at[t] = _ridge_path(t, s, w, p, sigma, trace_cap)
+        if at[t][1] > at[t][2]:
+            lo = t
         else:
-            hi = mid
-    theta = min((lo, hi), key=lambda t: max(path(t)[1:]))
-    H = U @ (path(theta)[0][:, None] * C)
+            hi = t
+    if hi not in at:                              # hi = 1, never probed
+        at[hi] = _ridge_path(hi, s, w, p, sigma, trace_cap)
+    h = min(at[lo], at[hi], key=lambda v: max(v[1], v[2]))[0]
+    H = U @ (h[:, None] * C)
     M = B - H.T @ A
     tau = max(sigma ** 2 * float(np.sum(H * H)), float(np.sum(M * M)) / trace_cap)
     return M.T @ M / tau, H, tau

@@ -152,6 +152,44 @@ def optimize_S_sdp(A: np.ndarray, B: np.ndarray, sigma: float, trace_cap: float)
     return smat(sol.var(prog, "T"), n) / tau_val, sol.var(prog, "H").reshape(m, nu), tau_val
 
 
+def midpoint_path(theta, s, w, p, sigma, trace_cap):
+    """(h, f1, f2) on optimize_S_midpoint's ridge path at weight theta."""
+    ridge = sigma ** 2 * trace_cap
+    den = theta * ridge + (1.0 - theta) * s * s
+    h = np.divide((1.0 - theta) * s, den, out=np.zeros_like(s), where=den > 0)
+    r = np.divide(theta * ridge, den, out=np.ones_like(s), where=den > 0)
+    return h, sigma ** 2 * float(w @ h ** 2), (p + float(w @ r ** 2)) / trace_cap
+
+
+def optimize_S_midpoint(A: np.ndarray, B: np.ndarray, sigma: float, trace_cap: float = 1.0):
+    """Reference for s_risk.optimize_S_bisection that bisects the ridge
+    weight theta from [0, 1] by midpoints until lo and hi are adjacent
+    floats, then evaluates the path at both ends and at the chosen one.
+    Returns (S, H, tau) from the same formulas."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    s = np.where(s > s[0] * max(A.shape) * np.finfo(float).eps, s, 0.0)
+    C = Vt @ B.T
+    w = np.sum(C * C, axis=1)
+    p = float(np.sum((B.T - Vt.T @ C) ** 2))
+
+    def path(theta):
+        return midpoint_path(theta, s, w, p, sigma, trace_cap)
+
+    _, f1, f2 = path(0.0)
+    lo, hi = 0.0, (1.0 if f1 > f2 else 0.0)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        _, f1, f2 = path(mid)
+        if f1 > f2:
+            lo = mid
+        else:
+            hi = mid
+    theta = min((lo, hi), key=lambda t: max(path(t)[1:]))
+    H = U @ (path(theta)[0][:, None] * C)
+    M = B - H.T @ A
+    tau = max(sigma ** 2 * float(np.sum(H * H)), float(np.sum(M * M)) / trace_cap)
+    return M.T @ M / tau, H, tau
+
+
 def pytest_configure(config):
     """Hypothesis writes its storage directory (.hypothesis/) into the working
     directory while collecting; point it at a temporary directory instead."""

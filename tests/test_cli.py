@@ -433,6 +433,41 @@ def test_non_finite_parameters_exit_2(inst, capsys, conelp_calls, name, argv):
     assert conelp_calls == []
 
 
+@pytest.mark.parametrize("sigma", ["1e200", "1e-200"], ids=["square-overflows", "square-underflows"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["estimate", "{A}", "{B}", "{ell}"], id="estimate-ellipsoid"),
+    pytest.param(["estimate", "{A}", "{B}", "{box}"], id="estimate-box"),
+    pytest.param(["lower-bound", "{A}", "{B}", "{ell}"], id="lower-bound"),
+    pytest.param(["lower-bound", "{A}", "{B}", "{ell}", "--method", "contraction"],
+                 id="lower-bound-contraction"),
+    pytest.param(["srisk", "{A}", "{B}", "--optimize-S"], id="srisk-optimize-S"),
+    pytest.param(["srisk", "{A}", "{B}", "--whole-space", "--S", "{S}"], id="srisk-whole-space"),
+    pytest.param(["srisk", "{A}", "{B}", "--ellitope", "{ell}", "--S", "{S}"], id="srisk-fixed-S"),
+    pytest.param(ROBUST + ["--radius", "0.3"], id="robust"),
+])
+def test_sigma_with_no_finite_positive_square_exits_2(inst, capsys, conelp_calls, tmp_path,
+                                                      argv, sigma):
+    # sigma ** 2 raises OverflowError at 1e200; at 1e-200 it is 0
+    assert float(sigma) * float(sigma) in (0.0, float("inf"))
+    assert os.getcwd() == str(tmp_path)
+    rc = main([a.format(**inst) for a in argv] + ["--sigma", sigma])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma^2 must be a finite positive number")
+    assert "Traceback" not in err
+    assert conelp_calls == []
+
+
+def test_sigma_grid_with_no_finite_positive_square_exits_2(capsys):
+    for grid in ("0.1,1e200", "1e-200"):
+        assert main(["experiment", "ellipsoid", "--n", "4", "--sigma-grid", grid,
+                     "--out", "res"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma^2 must be a finite positive number")
+        assert "Traceback" not in err
+    assert not os.path.exists("res")
+
+
 @pytest.mark.parametrize("name, argv", [
     pytest.param("radius", ROBUST + ["--sigma", "0.5", "--radius", "-1"], id="robust-radius-neg"),
     pytest.param("sigma", ROBUST + ["--sigma", "-1", "--radius", "0.3"], id="robust-sigma-neg"),

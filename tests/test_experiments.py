@@ -35,6 +35,8 @@ from ellest.experiments import (
 from ellest.rng import stream
 from ellest.solver import set_program_dump
 
+from conftest import optimize_S_midpoint
+
 
 # --- oscillator discretization ---
 
@@ -340,6 +342,19 @@ def test_pendulum_run_small(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == PENDULUM_COLUMNS
+
+
+@pytest.mark.parametrize("T", [8, 32])
+def test_pendulum_csv_matches_the_midpoint_bisection(tmp_path, monkeypatch, T):
+    # the S optimization's Newton search ends on the bracket that midpoint
+    # bisection reaches, so the study writes the same bytes
+    def csv_bytes(name):
+        run_pendulum_experiment(ScenarioConfig(PENDULUM, horizon=T, out_dir=str(tmp_path / name)))
+        return (tmp_path / name / "pendulum.csv").read_bytes()
+
+    newton = csv_bytes("newton")
+    monkeypatch.setattr(experiments, "optimize_S_bisection", optimize_S_midpoint)
+    assert csv_bytes("midpoint") == newton
 
 
 def test_pendulum_block_one_reuses_the_last_single_target(conelp_calls):

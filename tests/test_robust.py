@@ -122,6 +122,34 @@ def test_batched_feasibility_matches_single_draws(monkeypatch, r):
         assert 0.0 < frac < 1.0
 
 
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["inside", "outside"])
+def test_feasibility_threshold_matches_single_draws(side):
+    # on the unit ball with S = 0 and tau = 0 the LMI at a draw is
+    # [[a I, D'],[D, I]], whose smallest eigenvalue x solves
+    # (a - x)(1 - x) = ||D||^2; a is set so that the worst of the draws
+    # sits 1e-9 inside or outside the threshold x = -1e-7
+    rng = stream(51, 5)
+    n, m, nu, p, q, N, seed = 4, 5, 3, 2, 3, 6, 9
+    # ||D|| near 1, so that the margin of 1e-9 is not scaled up in D'D
+    A, B, H = rng.normal(size=(m, n)), 0.3 * rng.normal(size=(nu, n)), 0.1 * rng.normal(size=(m, nu))
+    um = UncertaintyModel(A, B, 0.3 * rng.normal(size=(p, m + nu)),
+                          0.3 * rng.normal(size=(q, n)), 0.4)
+    ell = Ellitope.ellipsoid(np.eye(n))
+    worst = 0.0
+    for i in range(N):
+        draw = stream(seed, i)
+        G = draw.normal(size=(p, q))
+        u = 1.0 if i == 0 else draw.uniform()
+        Ap, Bp = um.perturbed(G * (u * um.r / np.linalg.norm(G, 2)))
+        worst = max(worst, np.linalg.norm(Bp - H.T @ Ap, 2))
+    x = -1e-7 + side * 1e-9
+    lam = np.array([x + worst ** 2 / (1.0 - x)])
+    args = (H, lam, 0.0, um, np.zeros((n, n)), ell)
+    frac = verify_robust_feasibility(*args, N=N, seed=seed)
+    assert frac == _single_draw_fraction(*args, N=N, seed=seed)
+    assert frac == (1.0 if side > 0 else (N - 1) / N)
+
+
 def test_mu_enters_only_the_lmi(monkeypatch):
     # the mu I_p corner of the bordered LMI makes mu >= 0: no orthant row
     progs, real = [], robust.solve_or_raise

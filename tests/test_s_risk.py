@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellest import (
@@ -21,11 +21,13 @@ from ellest import (
     srisk_lower_bound,
     whole_space_estimate,
 )
-from ellest.experiments import build_pendulum_problem
+from ellest import s_risk
+from ellest.experiments import build_pendulum_problem, pendulum_block_sizes
 from ellest.s_risk import _srisk_dual
 from ellest.rng import stream
 
-from conftest import optimize_S_sdp
+import conftest
+from conftest import optimize_S_midpoint, optimize_S_sdp
 
 ELL1 = Ellitope.ellipsoid(np.array([[1.0]]))
 A1 = np.array([[1.0]])
@@ -268,7 +270,9 @@ def test_optimize_S_makes_no_conic_solve(conelp_calls):
 
 
 def _drawn_instance(seed, m, n, nu, rank):
-    """(A, B) from a seeded stream; A has the given rank."""
+    """(A, B) from a seeded stream; A has the given rank (A = 0 at rank 0),
+    so min(m, n) - rank zero singular values, and B has a part no H
+    reaches when rank < n."""
     rng = stream(2310, seed)
     A = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
     return A, rng.normal(size=(nu, n))
@@ -297,6 +301,54 @@ def test_optimize_S_level_falls_as_the_budget_grows(seed, m, n, nu, rank, sigma,
     _, _, tau = optimize_S_bisection(A, B, sigma, trace_cap=cap)
     _, _, tau_wide = optimize_S_bisection(A, B, sigma, trace_cap=cap * grow)
     assert tau_wide <= tau * (1 + 1e-12)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 20), m=st.integers(1, 7), n=st.integers(1, 7),
+       nu=st.integers(1, 3), rank=st.integers(0, 7), log_sigma=st.floats(-3.0, 1.0),
+       log_cap=st.floats(-4.0, 4.0))
+# full rank, at a crossing; rank 1 of 3 with a part of B no H reaches, at
+# the least-squares end (f1 <= f2 at theta = 0) and at a crossing; A = 0
+@example(seed=1, m=5, n=4, nu=2, rank=4, log_sigma=-0.5, log_cap=0.0)
+@example(seed=2, m=3, n=6, nu=3, rank=1, log_sigma=0.0, log_cap=1.0)
+@example(seed=2, m=3, n=6, nu=3, rank=1, log_sigma=1.0, log_cap=1.0)
+@example(seed=3, m=2, n=3, nu=1, rank=0, log_sigma=0.0, log_cap=0.0)
+def test_optimize_S_matches_the_midpoint_bisection_bit_for_bit(seed, m, n, nu, rank,
+                                                               log_sigma, log_cap):
+    A, B = _drawn_instance(seed, m, n, nu, min(rank, m, n))
+    sigma, cap = 10.0 ** log_sigma, 10.0 ** log_cap
+    S, H, tau = optimize_S_bisection(A, B, sigma, trace_cap=cap)
+    S_ref, H_ref, tau_ref = optimize_S_midpoint(A, B, sigma, trace_cap=cap)
+    assert tau == tau_ref
+    assert S.shape == S_ref.shape and S.tobytes() == S_ref.tobytes()
+    assert H.shape == H_ref.shape and H.tobytes() == H_ref.tobytes()
+
+
+def test_optimize_S_evaluates_the_ridge_path_few_times(monkeypatch):
+    # path evaluations over the horizon-32 pendulum targets: at most 20 per
+    # call on average, and never more than the midpoint bisection makes
+    calls = {"newton": 0, "midpoint": 0}
+
+    def counted(key, path):
+        def wrapped(*args):
+            calls[key] += 1
+            return path(*args)
+        return wrapped
+
+    monkeypatch.setattr(s_risk, "_ridge_path", counted("newton", s_risk._ridge_path))
+    monkeypatch.setattr(conftest, "midpoint_path", counted("midpoint", conftest.midpoint_path))
+    pp = build_pendulum_problem(T=32, sigma=0.075)
+    targets = ([pp.input_row(t) for t in range(1, pp.T + 1)]
+               + [pp.input_block(K) for K in pendulum_block_sizes(pp.T)])
+    newton = []
+    for B in targets:
+        before = dict(calls)
+        optimize_S_bisection(pp.A, B, 0.075)
+        optimize_S_midpoint(pp.A, B, 0.075)
+        used = {key: calls[key] - before[key] for key in calls}
+        assert 0 < used["newton"] <= used["midpoint"]
+        newton.append(used["newton"])
+    assert np.mean(newton) <= 20
 
 
 def test_srisk_validation():
